@@ -291,9 +291,7 @@ let manifest_sections (r : report) : (string * Json.t) list =
              ("itlb_pages", Json.Int r.Bolt_layout.Evaluator.ev_itlb_pages);
            ]
        in
-       let after_by_name =
-         List.map (fun (n, _, ev) -> (n, ev)) r.r_layout_after
-       in
+       let after_by_name = Context.index_by (fun (n, _, _) -> n) r.r_layout_after in
        let rec top n l =
          match (n, l) with
          | 0, _ | _, [] -> []
@@ -316,8 +314,8 @@ let manifest_sections (r : report) : (string * Json.t) list =
                            ("before", ev_json before);
                          ]
                         @
-                        match List.assoc_opt name after_by_name with
-                        | Some a -> [ ("after", ev_json a) ]
+                        match Hashtbl.find_opt after_by_name name with
+                        | Some (_, _, a) -> [ ("after", ev_json a) ]
                         | None -> []))) );
          ]) );
     ( "quarantine",

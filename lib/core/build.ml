@@ -133,21 +133,24 @@ let build_function ctx (fb : Bfunc.t) =
       let n = Array.length raws in
       (* source locations *)
       let dbg =
-        match Objfile.dbg_for ctx.Context.exe fb.fb_name with
+        match Context.dbg_for ctx fb.fb_name with
         | Some d -> d.dbg_entries
         | None -> []
       in
+      (* the last line entry at or before [off], by binary search *)
       let loc_at =
-        let sorted = List.sort compare (List.map (fun (o, f, l) -> (o, (f, l))) dbg) in
+        let sorted = Array.of_list (List.map (fun (o, f, l) -> (o, (f, l))) dbg) in
+        Array.sort compare sorted;
         fun off ->
-          let rec go acc = function
-            | (o, fl) :: rest when o <= off -> go (Some fl) rest
-            | _ -> acc
-          in
-          go None sorted
+          let lo = ref 0 and hi = ref (Array.length sorted) in
+          while !lo < !hi do
+            let mid = (!lo + !hi) / 2 in
+            if fst sorted.(mid) <= off then lo := mid + 1 else hi := mid
+          done;
+          if !lo = 0 then None else Some (snd sorted.(!lo - 1))
       in
       (* CFI ops keyed by the offset at which they take effect *)
-      let fde = Objfile.fde_for ctx.Context.exe fb.fb_name in
+      let fde = Context.fde_for ctx fb.fb_name in
       let cfi_at = Hashtbl.create 16 in
       (match fde with
       | Some f ->
@@ -157,7 +160,7 @@ let build_function ctx (fb : Bfunc.t) =
                 ((try Hashtbl.find cfi_at o with Not_found -> []) @ [ op ]))
             f.fde_cfi
       | None -> ());
-      let lsda = Objfile.lsda_for ctx.Context.exe fb.fb_name in
+      let lsda = Context.lsda_for ctx fb.fb_name in
       (* symbolize a call target; raises Exit when impossible *)
       let call_target addr =
         match Context.resolve_code ctx addr with

@@ -16,6 +16,11 @@ type t = {
   (* sorted (addr, size, name) of code symbols for address resolution *)
   sym_index : (int * int * string) array;
   plt_target : (string, string) Hashtbl.t; (* stub symbol -> target function *)
+  fde_index : (string, Types.fde) Hashtbl.t;
+  dbg_index : (string, Types.dbg) Hashtbl.t;
+  lsda_index : (string, Types.lsda) Hashtbl.t;
+      (* the input's frame, line and exception records by function name;
+         the first record wins, as in [Objfile.fde_for] & co. *)
   mutable func_layout : (string list * string list) option; (* hot, cold order *)
   mutable log : string list; (* pass log, newest first *)
   diag : Diag.t; (* structured diagnostics for the whole run *)
@@ -41,12 +46,20 @@ exception Bolt_error of string
 
 let err fmt = Fmt.kstr (fun s -> raise (Bolt_error s)) fmt
 
+(* [records] by [name_of]; on a repeated name the first record wins, as
+   [List.find_opt] would find it. *)
+let index_by name_of records =
+  let tbl = Hashtbl.create 256 in
+  List.iter
+    (fun r -> if not (Hashtbl.mem tbl (name_of r)) then Hashtbl.add tbl (name_of r) r)
+    records;
+  tbl
+
+(* The 64-bit little-endian cell at [addr], read in place. *)
 let section_value _ctx (sec : Types.section option) addr =
   match sec with
   | Some s when addr >= s.sec_addr && addr + 8 <= s.sec_addr + s.sec_size ->
-      let r = Buf.reader (Bytes.to_string s.sec_data) in
-      r.Buf.pos <- addr - s.sec_addr;
-      Some (Buf.r_i64 r)
+      Some (Int64.to_int (Bytes.get_int64_le s.sec_data (addr - s.sec_addr)))
   | _ -> None
 
 let in_section (sec : Types.section option) addr =
@@ -114,6 +127,9 @@ let create ~(opts : Opts.t) ?obs (exe : Objfile.t) : t =
       relocations_mode;
       sym_index;
       plt_target;
+      fde_index = index_by (fun (f : Types.fde) -> f.fde_func) exe.fdes;
+      dbg_index = index_by (fun (d : Types.dbg) -> d.dbg_func) exe.dbgs;
+      lsda_index = index_by (fun (l : Types.lsda) -> l.lsda_func) exe.lsdas;
       func_layout = None;
       log = [];
       diag = Diag.create ();
@@ -152,6 +168,11 @@ let create ~(opts : Opts.t) ?obs (exe : Objfile.t) : t =
   ctx
 
 let func ctx name = Hashtbl.find_opt ctx.funcs name
+
+(* The input's metadata for a function, from the indexes. *)
+let fde_for ctx name = Hashtbl.find_opt ctx.fde_index name
+let dbg_for ctx name = Hashtbl.find_opt ctx.dbg_index name
+let lsda_for ctx name = Hashtbl.find_opt ctx.lsda_index name
 
 let iter_funcs ctx g =
   List.iter (fun name -> g (Hashtbl.find ctx.funcs name)) ctx.order

@@ -53,6 +53,8 @@ let collect ctx : t =
       let pos = Hashtbl.create 32 in
       List.iteri (fun i l -> Hashtbl.replace pos l i) fb.layout;
       let index l = try Hashtbl.find pos l with Not_found -> max_int in
+      (* the layout after the current block; its head is the successor *)
+      let after = ref fb.layout in
       List.iteri
         (fun i l ->
           let b = block fb l in
@@ -64,9 +66,8 @@ let collect ctx : t =
               if Bolt_isa.Insn.is_call ins.op then
                 st.executed_calls <- st.executed_calls + n)
             b.insns;
-          let next =
-            if i + 1 < List.length fb.layout then List.nth fb.layout (i + 1) else ""
-          in
+          after := List.tl !after;
+          let next = match !after with succ :: _ -> succ | [] -> "" in
           match b.term with
           | T_cond (_, taken, fall) when taken <> fall ->
               let tk = edge_count fb l taken in

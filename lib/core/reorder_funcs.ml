@@ -77,7 +77,7 @@ let run ctx (prof : Bolt_profile.Fdata.t) : string list * string list =
       in
       (* ICF may have folded some call targets: fold their samples in *)
       let order = Bolt_hfsort.Order.order algo g ~original:live in
-      let order = List.filter (fun n -> List.mem n live) order in
+      let order = List.filter (Hashtbl.mem (Context.index_by Fun.id live)) order in
       let events = Bolt_profile.Fdata.func_events prof in
       let is_sampled n =
         match Hashtbl.find_opt events n with Some c -> c > 0L | None -> false

@@ -174,9 +174,13 @@ let run ctx : result =
     in
     let by_name = Hashtbl.create 256 in
     List.iter (fun fb -> Hashtbl.replace by_name fb.fb_name fb) live;
-    let ordered = hot_names @ List.filter (fun n -> not (List.mem n hot_names)) cold_names in
+    let hot_set = Context.index_by Fun.id hot_names in
+    let ordered =
+      hot_names @ List.filter (fun n -> not (Hashtbl.mem hot_set n)) cold_names
+    in
+    let ordered_set = Context.index_by Fun.id ordered in
     let rest =
-      List.filter (fun fb -> not (List.mem fb.fb_name ordered)) live
+      List.filter (fun fb -> not (Hashtbl.mem ordered_set fb.fb_name)) live
       |> List.map (fun fb -> fb.fb_name)
     in
     (* hot fragments first, in order *)
@@ -269,6 +273,8 @@ let run ctx : result =
       | Some fb -> Hashtbl.replace frag_addr n fb.fb_addr
       | None -> ())
     reverted;
+  (* original symbols by name, first wins as in [Objfile.find_symbol] *)
+  let symbols = Context.index_by (fun (sym : symbol) -> sym.sym_name) exe.symbols in
   let resolve_sym s =
     (* block cross-reference? *)
     match String.index_opt s '/' with
@@ -281,7 +287,7 @@ let run ctx : result =
         | Some a -> Some a
         | None -> (
             (* data or untouched symbol: original address *)
-            match Objfile.find_symbol exe s with
+            match Hashtbl.find_opt symbols s with
             | Some sym -> Some sym.sym_value
             | None -> None))
   in
@@ -535,13 +541,13 @@ let run ctx : result =
       | Some fb ->
           (* non-simple or reverted: original metadata rebased *)
           if frag.Emit.fr_name = fb.fb_name then begin
-            (match Objfile.fde_for exe fb.fb_name with
+            (match Context.fde_for ctx fb.fb_name with
             | Some f -> fdes := { f with fde_addr = p.p_addr } :: !fdes
             | None -> ());
-            (match Objfile.lsda_for exe fb.fb_name with
+            (match Context.lsda_for ctx fb.fb_name with
             | Some l -> lsdas := { l with lsda_fn_addr = p.p_addr } :: !lsdas
             | None -> ());
-            match Objfile.dbg_for exe fb.fb_name with
+            match Context.dbg_for ctx fb.fb_name with
             | Some d -> dbgs := { d with dbg_addr = p.p_addr } :: !dbgs
             | None -> ()
           end
@@ -550,9 +556,9 @@ let run ctx : result =
   (* reverted functions keep their original records *)
   Hashtbl.iter
     (fun n () ->
-      (match Objfile.fde_for exe n with Some f -> fdes := f :: !fdes | None -> ());
-      (match Objfile.lsda_for exe n with Some l -> lsdas := l :: !lsdas | None -> ());
-      match Objfile.dbg_for exe n with Some d -> dbgs := d :: !dbgs | None -> ())
+      (match Context.fde_for ctx n with Some f -> fdes := f :: !fdes | None -> ());
+      (match Context.lsda_for ctx n with Some l -> lsdas := l :: !lsdas | None -> ());
+      match Context.dbg_for ctx n with Some d -> dbgs := d :: !dbgs | None -> ())
     reverted;
 
   let other_sections =

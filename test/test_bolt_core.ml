@@ -140,6 +140,126 @@ let test_strip_rep_ret () =
   in
   Alcotest.(check bool) "no repz left" false has_repz
 
+(* ---- ICF edge cases on hand-built functions ---- *)
+
+module Insn = Bolt_isa.Insn
+module Bfunc = Bolt_core.Bfunc
+
+(* A block: label, instructions as (op, landing pad), terminator. *)
+let blk ?(lp = false) bl insns term = (bl, insns, term, lp)
+
+let synth_fn ?(jts = [||]) name blocks =
+  let fb = Bfunc.create ~name ~addr:0 ~size:16 in
+  List.iter
+    (fun (bl, insns, term, is_lp) ->
+      Bfunc.add_block fb
+        {
+          Bfunc.bl;
+          b_off = -1;
+          insns = List.map (fun (op, lp) -> Bfunc.mk ~lp op) insns;
+          term;
+          ecount = 0;
+          cfi_entry = Bolt_obj.Types.initial_cfi_state;
+          is_lp;
+        })
+    blocks;
+  fb.Bfunc.layout <- List.map (fun (bl, _, _, _) -> bl) blocks;
+  fb.Bfunc.entry <- List.hd fb.Bfunc.layout;
+  fb.Bfunc.jts <- jts;
+  fb
+
+(* A context over a trivial binary whose only functions are [fns], in
+   this address order. *)
+let synth_ctx fns =
+  let exe = compile [ ("m", {| fn main() { out 1; return 0; } |}) ] in
+  let ctx = Bolt_core.Context.create ~opts:Bolt_core.Opts.default exe in
+  List.iter (fun fb -> Hashtbl.replace ctx.Bolt_core.Context.funcs fb.Bfunc.fb_name fb) fns;
+  ctx.Bolt_core.Context.order <- List.map (fun fb -> fb.Bfunc.fb_name) fns;
+  ctx
+
+(* A leaf: r0 := k; ret. *)
+let leaf name k =
+  synth_fn name
+    [
+      blk "e"
+        [ (Insn.Mov_ri (Bolt_isa.Reg.r0, Insn.Imm k, Insn.I32), None); (Insn.Ret, None) ]
+        Bfunc.T_stop;
+    ]
+
+(* call [callee]; ret. *)
+let caller ?(addend = 0) name callee =
+  synth_fn name
+    [ blk "e" [ (Insn.Call (Insn.Sym (callee, addend)), None); (Insn.Ret, None) ] Bfunc.T_stop ]
+
+let folded_into ctx name =
+  (Option.get (Bolt_core.Context.func ctx name)).Bfunc.folded_into
+
+let icf_edge_cases () =
+  let run fns =
+    let ctx = synth_ctx fns in
+    (ctx, Bolt_core.Icf.run ctx)
+  in
+  let opt = Alcotest.(option string) in
+  (* twins that differ only in a symbol's addend stay apart *)
+  let ctx, r = run [ caller "a1" "g"; caller ~addend:8 "a2" "g"; leaf "g" 1 ] in
+  Alcotest.(check int) "addend: nothing folded" 0 r.Bolt_core.Icf.folded;
+  Alcotest.(check opt) "addend: a2 kept" None (folded_into ctx "a2");
+  (* identical jump tables at different .rodata addresses fold; the
+     labels differ too *)
+  let switch name ~table ~pfx =
+    let l s = pfx ^ s in
+    synth_fn name
+      ~jts:[| { Bfunc.jt_addr = table; jt_pic = false; jt_targets = [| l "1"; l "2" |] } |]
+      [
+        blk (l "0")
+          [
+            (Insn.Lea (Bolt_isa.Reg.r1, Insn.Imm table), None);
+            (Insn.Jmp_ind Bolt_isa.Reg.r1, None);
+          ]
+          (Bfunc.T_indirect (Some 0));
+        blk (l "1") [ (Insn.Ret, None) ] Bfunc.T_stop;
+        blk (l "2") [ (Insn.Halt, None) ] Bfunc.T_stop;
+      ]
+  in
+  let ctx, r =
+    run [ switch "s1" ~table:0x4000 ~pfx:".A"; switch "s2" ~table:0x4800 ~pfx:".B" ]
+  in
+  Alcotest.(check int) "jump tables: folded" 1 r.Bolt_core.Icf.folded;
+  Alcotest.(check opt) "jump tables: s2 -> s1" (Some "s1") (folded_into ctx "s2");
+  (* callers listed before their callees fold only in round 2, once the
+     callees folded in round 1; a conditional tail call to the dropped
+     twin is retargeted to the survivor *)
+  let tail =
+    synth_fn "t"
+      [
+        blk "e" [ (Insn.Alu_ri (Insn.Cmp, Bolt_isa.Reg.r1, Insn.Imm 0), None) ]
+          (Bfunc.T_condtail (Bolt_isa.Cond.Eq, "b2", "f"));
+        blk "f" [ (Insn.Ret, None) ] Bfunc.T_stop;
+      ]
+  in
+  let ctx, r = run [ caller "c1" "b1"; caller "c2" "b2"; tail; leaf "b1" 7; leaf "b2" 7 ] in
+  Alcotest.(check int) "round 2: both pairs folded" 2 r.Bolt_core.Icf.folded;
+  Alcotest.(check int) "round 2: two folding rounds plus the quiet one" 3 r.Bolt_core.Icf.rounds;
+  Alcotest.(check opt) "round 2: b2 -> b1" (Some "b1") (folded_into ctx "b2");
+  Alcotest.(check opt) "round 2: c2 -> c1" (Some "c1") (folded_into ctx "c2");
+  let t = Option.get (Bolt_core.Context.func ctx "t") in
+  Alcotest.(check bool) "condtail retargeted to the survivor" true
+    ((Bfunc.block t "e").Bfunc.term = Bfunc.T_condtail (Bolt_isa.Cond.Eq, "b1", "f"));
+  (* functions that differ only in which landing pad a call unwinds to
+     stay apart *)
+  let eh name pad =
+    synth_fn name
+      [
+        blk "e" [ (Insn.Call (Insn.Sym ("g", 0)), Some pad) ] (Bfunc.T_jump "x");
+        blk ~lp:true "p" [ (Insn.Ret, None) ] Bfunc.T_stop;
+        blk ~lp:true "q" [ (Insn.Ret, None) ] Bfunc.T_stop;
+        blk "x" [ (Insn.Ret, None) ] Bfunc.T_stop;
+      ]
+  in
+  let ctx, r = run [ eh "e1" "p"; eh "e2" "q"; leaf "g" 1 ] in
+  Alcotest.(check int) "landing pad: nothing folded" 0 r.Bolt_core.Icf.folded;
+  Alcotest.(check opt) "landing pad: e2 kept" None (folded_into ctx "e2")
+
 let test_icf_folds_twins () =
   let src =
     {| fn twin1(x) { return x * 7 + 3; }
@@ -156,14 +276,15 @@ let test_icf_folds_twins () =
   in
   let exe = compile ~options [ ("m", src) ] in
   let ctx = build_ctx exe in
-  let folded, _bytes = Bolt_core.Icf.run ctx in
-  Alcotest.(check int) "one pair folded" 1 folded;
+  let r = Bolt_core.Icf.run ctx in
+  Alcotest.(check int) "one pair folded" 1 r.Bolt_core.Icf.folded;
   (* behaviour preserved through the full pipeline *)
   let prof = profile_of exe ~input:[||] in
   let exe', _ = Bolt_core.Bolt.optimize exe prof in
   let a = Machine.run exe ~input:[||] in
   let b = Machine.run exe' ~input:[||] in
-  Alcotest.(check (list int)) "same output" a.Machine.output b.Machine.output
+  Alcotest.(check (list int)) "same output" a.Machine.output b.Machine.output;
+  icf_edge_cases ()
 
 let test_simplify_ro_loads () =
   let src =

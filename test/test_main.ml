@@ -23,4 +23,5 @@ let () =
       ("monitor", Test_monitor.suite);
       ("service", Test_service.suite);
       ("iocore", Test_iocore.suite);
+      ("icf", Test_icf.suite);
     ]
