@@ -440,10 +440,10 @@ let run_layout ~quick () =
 (* ---- fleet aggregation ---- *)
 
 (* Fleet profile merging (lib/fleet): simulate the 8-host fleet, then
-   (a) merge throughput at -j1/2/4 over a replicated shard set — output
-   asserted byte-identical at every level — and (b) the end-to-end payoff:
-   dyno-stats taken branches on the fleet-wide traffic for BOLT fed the
-   merged profile vs BOLT fed the best single host shard. *)
+   (a) merge throughput over a replicated shard set (one accumulator on
+   one domain: [Merge.merge] reads no job count) and (b) the end-to-end
+   payoff: dyno-stats taken branches on the fleet-wide traffic for BOLT
+   fed the merged profile vs BOLT fed the best single host shard. *)
 let run_fleet ~quick () =
   section "Fleet: shard merge throughput and merged-vs-single-shard dyno-stats";
   let module FS = Bolt_fleet.Fleet_sim in
@@ -486,13 +486,13 @@ let run_fleet ~quick () =
   let total_lines =
     List.fold_left (fun a (s : M.loaded) -> a + record_lines s.M.sh_prof) 0 big
   in
-  let time_at jobs =
+  let time_merge () =
     let t0 = Unix.gettimeofday () in
-    let merged = M.merge ~opts:{ M.default_options with M.jobs } big in
+    let merged = M.merge big in
     (Unix.gettimeofday () -. t0, merged)
   in
-  ignore (time_at 1) (* warm-up *);
-  let runs = List.map (fun j -> (j, time_at j)) [ 1; 2; 4 ] in
+  ignore (time_merge ()) (* warm-up *);
+  let runs = [ (1, time_merge ()) ] in
   let _, (_, base_merged) = List.hd runs in
   let base_bytes = Bolt_profile.Fdata.to_string base_merged in
   Printf.printf "  merging %d shards (%d record lines):\n" (List.length big)
@@ -780,10 +780,11 @@ let run_iocore ~quick () =
      (within_budget must hold), plus the eviction count and the
      merged-quality degradation the bound cost vs an unbounded merge;
    - trigger latency in ticks;
-   - the sharded-by-function-key merge vs the single-accumulator
-     streaming merge, bytes asserted identical. *)
+   - the benchmark-only sharded-by-function-key merge (no CLI runs it)
+     vs the single-accumulator streaming merge that bmerge --stream
+     runs, bytes asserted identical. *)
 let run_service ~quick () =
-  section "Service: daemon ingest at fleet scale (sketch bound, triggers, sharded merge)";
+  section "Service: daemon ingest at fleet scale (sketch bound, triggers, merge engines)";
   let module FS = Bolt_fleet.Fleet_sim in
   let module M = Bolt_fleet.Merge in
   let module S = Bolt_service.Service in
@@ -808,7 +809,8 @@ let run_service ~quick () =
   let texts = List.map (fun (_, h, x) -> (h, x)) tape_raw in
   Printf.printf "  tape: %d hosts, %d lines (%d-function universe)\n%!"
     sc.FS.sc_hosts total_lines sc.FS.sc_funcs;
-  (* sharded-by-function-key merge vs the single-accumulator stream *)
+  (* the sharded-by-function-key engine, which only benchmarks call, vs
+     the single-accumulator stream that bmerge --stream runs *)
   let t0 = Unix.gettimeofday () in
   let stream_merged = M.merge_stream texts in
   let t_stream = Unix.gettimeofday () -. t0 in
@@ -823,7 +825,7 @@ let run_service ~quick () =
   in
   let lps t = if t > 0.0 then float_of_int total_lines /. t else 0.0 in
   Printf.printf
-    "  merge:   stream %8.0f lines/s   sharded(j4) %8.0f lines/s (%.2fx)  %s\n%!"
+    "  merge:   bmerge --stream %8.0f lines/s   bench-only sharded engine (4 partitions) %8.0f lines/s (%.2fx)  %s\n%!"
     (lps t_stream) (lps t_sharded) (t_stream /. t_sharded)
     (if sharded_identical then "identical" else "MISMATCH!");
   (* the service loop itself, under a deliberately tight sketch budget

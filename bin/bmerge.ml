@@ -6,7 +6,8 @@
      bmerge host*.fdata -o fleet.fdata --expect-build-id prog.x --report
 
    The merge is commutative and associative with saturating 64-bit
-   counts: output bytes are identical for any shard ordering and any -j.
+   counts: output bytes are identical for any shard ordering, with or
+   without --stream.
    --expect-build-id takes either a hex id or a BELF file to read one
    from; shards profiled against any other revision count as stale in
    the quality report.  When it names a BELF file with a fingerprint
@@ -14,8 +15,9 @@
    (renamed/remapped) against that revision before merging.
 
    Exit codes: 0 success; 3 invalid input (no shards, unreadable
-   --expect-build-id); 4 --strict-shards failure; 6 merge succeeded but
-   one or more shards were skipped as corrupt/truncated. *)
+   --expect-build-id, an option --stream cannot honour); 4
+   --strict-shards failure; 6 merge succeeded but one or more shards
+   were skipped as corrupt/truncated. *)
 
 open Cmdliner
 module Obs = Bolt_obs.Obs
@@ -49,7 +51,7 @@ let resolve_build_id = function
       else (Some spec, [])
 
 let run shards out weights decay expect strict_shards report health trace_out
-    history jobs stream =
+    history stream =
   if shards = [] then begin
     Fmt.epr "bmerge: no input shards@.";
     3
@@ -59,18 +61,23 @@ let run shards out weights decay expect strict_shards report health trace_out
        accumulator (Merge.merge_stream over the iocore lexer) and record
        lists never materialize.  The diagnostics that need per-shard
        record sets — quality report, health view, stale recovery — are
-       incompatible by construction. *)
-    if report || health || expect <> None then begin
+       incompatible by construction, and so are the outputs and checks
+       only the default path implements: the manifest, the run history
+       and fail-fast shard loading. *)
+    if
+      report || health || expect <> None || trace_out <> None
+      || history <> None || strict_shards
+    then begin
       Fmt.epr
         "bmerge: --stream merges without materializing per-shard records; \
-         it cannot be combined with --report, --health or \
-         --expect-build-id@.";
+         it cannot be combined with --report, --health, \
+         --expect-build-id, --trace-out, --history or --strict-shards@.";
       3
     end
     else begin
       match
         Merge.merge_paths
-          ~opts:{ Merge.weights; decay; expect_build_id = None; jobs = max 1 jobs }
+          ~opts:{ Merge.default_options with Merge.weights; decay }
           shards
       with
       | exception Sys_error e ->
@@ -136,7 +143,7 @@ let run shards out weights decay expect strict_shards report health trace_out
                 ~name:"bmerge" ()
             in
             let opts =
-              { Merge.weights; decay; expect_build_id; jobs = max 1 jobs }
+              { Merge.default_options with Merge.weights; decay; expect_build_id }
             in
             (* staleness is assessed over the shards as collected; the
                merge then consumes their recovered form *)
@@ -193,7 +200,6 @@ let run shards out weights decay expect strict_shards report health trace_out
                                        ("reason", Json.String s.Merge.sk_reason);
                                      ])
                                  skipped) );
-                          ("jobs", Json.Int (max 1 jobs));
                         ] );
                     Quality.manifest_section q;
                     Monitor.manifest_section monitor;
@@ -294,13 +300,6 @@ let history =
            merged build-id) to the JSONL run-history store at $(docv); \
            inspect the trajectory with bstat.")
 
-let jobs =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Worker domains for the parallel fold; output is byte-identical \
-              for any value.")
-
 let stream =
   Arg.(
     value & flag
@@ -309,14 +308,14 @@ let stream =
           "Stream each shard straight into the accumulator without \
            materializing its record lists (lowest memory, fastest for \
            million-line shards). Output is byte-identical to the default \
-           path. Incompatible with --report, --health and \
-           --expect-build-id, which need per-shard records.")
+           path. Incompatible with --report, --health, --expect-build-id, \
+           --trace-out, --history and --strict-shards.")
 
 let cmd =
   Cmd.v
     (Cmd.info "bmerge" ~doc:"merge per-host fdata shards into a fleet profile")
     Term.(
       const run $ shards $ out $ weights $ decay $ expect $ strict_shards
-      $ report $ health $ trace_out $ history $ jobs $ stream)
+      $ report $ health $ trace_out $ history $ stream)
 
 let () = exit (Cmd.eval' cmd)

@@ -119,56 +119,154 @@ let func_events t =
   List.iter (fun s -> add s.sm_func s.sm_count) t.samples;
   h
 
+(* ---- the saturating accumulator ---- *)
+
+(* The one keyed table every profile sum folds into: [normalize], each
+   fleet merge engine and the service sketch.  Records live per owning
+   function (a branch's source function), so a function can be dropped
+   or moved between accumulators as a unit. *)
+module Acc = struct
+  type func = {
+    mutable fa_events : int64; (* saturating sum of every count filed here *)
+    fa_branches : (int * string * int, int64 * int64) Hashtbl.t;
+        (* (from_off, to_func, to_off) -> (count, mispreds) *)
+    fa_ranges : (int * int, int64) Hashtbl.t; (* (start, end) -> count *)
+    fa_samples : (int, int64) Hashtbl.t; (* off -> count *)
+  }
+
+  type t = (string, func) Hashtbl.t
+
+  let create () : t = Hashtbl.create 64
+
+  let func (t : t) name =
+    match Hashtbl.find_opt t name with
+    | Some fa -> fa
+    | None ->
+        let fa =
+          {
+            fa_events = 0L;
+            fa_branches = Hashtbl.create 8;
+            fa_ranges = Hashtbl.create 4;
+            fa_samples = Hashtbl.create 4;
+          }
+        in
+        Hashtbl.add t name fa;
+        fa
+
+  (* Saturating-add [v] into [tbl] under [k]; true when [k] was new. *)
+  let bump tbl k v add =
+    match Hashtbl.find_opt tbl k with
+    | Some v0 ->
+        Hashtbl.replace tbl k (add v0 v);
+        false
+    | None ->
+        Hashtbl.add tbl k v;
+        true
+
+  let add2 (c0, m0) (c, m) = (sat_add c0 c, sat_add m0 m)
+
+  (* Each count is scaled on its own, then added: [sat_scale (a + b) f]
+     is not [sat_scale a f + sat_scale b f], and every engine must agree
+     on which one a merge computes. *)
+  let add_branch ?(scale = 1.0) t b =
+    let c = sat_scale b.br_count scale in
+    let fa = func t b.br_from_func in
+    fa.fa_events <- sat_add fa.fa_events c;
+    bump fa.fa_branches
+      (b.br_from_off, b.br_to_func, b.br_to_off)
+      (c, sat_scale b.br_mispreds scale)
+      add2
+
+  let add_range ?(scale = 1.0) t r =
+    let c = sat_scale r.rg_count scale in
+    let fa = func t r.rg_func in
+    fa.fa_events <- sat_add fa.fa_events c;
+    bump fa.fa_ranges (r.rg_start, r.rg_end) c sat_add
+
+  let add_sample ?(scale = 1.0) t s =
+    let c = sat_scale s.sm_count scale in
+    let fa = func t s.sm_func in
+    fa.fa_events <- sat_add fa.fa_events c;
+    bump fa.fa_samples s.sm_off c sat_add
+
+  let add_profile ?scale t p =
+    List.iter (fun b -> ignore (add_branch ?scale t b)) p.branches;
+    List.iter (fun r -> ignore (add_range ?scale t r)) p.ranges;
+    List.iter (fun s -> ignore (add_sample ?scale t s)) p.samples
+
+  let events (t : t) name =
+    match Hashtbl.find_opt t name with Some fa -> fa.fa_events | None -> 0L
+
+  let remove (t : t) name = Hashtbl.remove t name
+
+  (* A function [into] has not seen moves over whole; one it has is
+     summed key by key. *)
+  let absorb ~(into : t) (src : t) =
+    let sum dst src add = Hashtbl.iter (fun k v -> ignore (bump dst k v add)) src in
+    Hashtbl.iter
+      (fun name fa ->
+        match Hashtbl.find_opt into name with
+        | None -> Hashtbl.add into name fa
+        | Some dst ->
+            dst.fa_events <- sat_add dst.fa_events fa.fa_events;
+            sum dst.fa_branches fa.fa_branches add2;
+            sum dst.fa_ranges fa.fa_ranges sat_add;
+            sum dst.fa_samples fa.fa_samples sat_add)
+      src;
+    Hashtbl.reset src
+
+  (* Canonical form: records sorted, [total_samples] the saturating sum
+     of branch and sample counts, fingerprints sorted and deduplicated. *)
+  let to_profile ~lbr ~header ~fingerprints (t : t) =
+    let branches = ref [] and ranges = ref [] and samples = ref [] in
+    Hashtbl.iter
+      (fun fn fa ->
+        Hashtbl.iter
+          (fun (fo, tf, to_) (c, m) ->
+            branches :=
+              {
+                br_from_func = fn;
+                br_from_off = fo;
+                br_to_func = tf;
+                br_to_off = to_;
+                br_count = c;
+                br_mispreds = m;
+              }
+              :: !branches)
+          fa.fa_branches;
+        Hashtbl.iter
+          (fun (s, e) c ->
+            ranges := { rg_func = fn; rg_start = s; rg_end = e; rg_count = c } :: !ranges)
+          fa.fa_ranges;
+        Hashtbl.iter
+          (fun o c -> samples := { sm_func = fn; sm_off = o; sm_count = c } :: !samples)
+          fa.fa_samples)
+      t;
+    let total =
+      List.fold_left (fun a (b : branch) -> sat_add a b.br_count) 0L !branches
+      |> fun acc -> List.fold_left (fun a (s : sample) -> sat_add a s.sm_count) acc !samples
+    in
+    {
+      lbr;
+      header;
+      branches = List.sort compare !branches;
+      ranges = List.sort compare !ranges;
+      samples = List.sort compare !samples;
+      total_samples = total;
+      fingerprints = List.sort_uniq compare fingerprints;
+    }
+end
+
 (* ---- canonical form ---- *)
 
-(* Sort records and aggregate duplicates (same endpoints -> counts
-   saturating-added).  Two profiles holding the same multiset of events
-   normalize to the same value — and therefore the same bytes — which is
-   what makes merged output independent of shard order and -j. *)
+(* Aggregate duplicates (same endpoints -> counts saturating-added), then
+   sort.  Two profiles holding the same multiset of events normalize to
+   the same value — and therefore the same bytes — which is what makes
+   merged output independent of shard order. *)
 let normalize t =
-  let tbl = Hashtbl.create 256 in
-  let bump k c m =
-    match Hashtbl.find_opt tbl k with
-    | Some (c0, m0) -> Hashtbl.replace tbl k (sat_add c0 c, sat_add m0 m)
-    | None -> Hashtbl.add tbl k (c, m)
-  in
-  List.iter
-    (fun b ->
-      bump (`B (b.br_from_func, b.br_from_off, b.br_to_func, b.br_to_off)) b.br_count
-        b.br_mispreds)
-    t.branches;
-  List.iter (fun r -> bump (`F (r.rg_func, r.rg_start, r.rg_end)) r.rg_count 0L) t.ranges;
-  List.iter (fun s -> bump (`S (s.sm_func, s.sm_off)) s.sm_count 0L) t.samples;
-  let branches = ref [] and ranges = ref [] and samples = ref [] in
-  Hashtbl.iter
-    (fun k (c, m) ->
-      match k with
-      | `B (ff, fo, tf, to_) ->
-          branches :=
-            {
-              br_from_func = ff;
-              br_from_off = fo;
-              br_to_func = tf;
-              br_to_off = to_;
-              br_count = c;
-              br_mispreds = m;
-            }
-            :: !branches
-      | `F (f, s, e) -> ranges := { rg_func = f; rg_start = s; rg_end = e; rg_count = c } :: !ranges
-      | `S (f, o) -> samples := { sm_func = f; sm_off = o; sm_count = c } :: !samples)
-    tbl;
-  let total =
-    List.fold_left (fun a (b : branch) -> sat_add a b.br_count) 0L !branches
-    |> fun acc -> List.fold_left (fun a (s : sample) -> sat_add a s.sm_count) acc !samples
-  in
-  {
-    t with
-    branches = List.sort compare !branches;
-    ranges = List.sort compare !ranges;
-    samples = List.sort compare !samples;
-    total_samples = total;
-    fingerprints = List.sort_uniq compare t.fingerprints;
-  }
+  let acc = Acc.create () in
+  Acc.add_profile acc t;
+  Acc.to_profile ~lbr:t.lbr ~header:t.header ~fingerprints:t.fingerprints acc
 
 (* ---- text format ---- *)
 

@@ -85,10 +85,59 @@ val empty : t
     reorder-functions pass sorts by. *)
 val func_events : t -> (string, int64) Hashtbl.t
 
+(** The saturating record accumulator: the one table behind
+    {!normalize}, every fleet merge engine and the service sketch.
+    Records are keyed per owning function (a branch's source function):
+    [func -> {events; branches (from_off, to_func, to_off); ranges;
+    samples}], with every count summed by {!sat_add}. *)
+module Acc : sig
+  type profile := t
+  type t
+
+  val create : unit -> t
+
+  (** [add_branch ?scale acc b] files [b] under its key and returns
+      whether the key was new.  Counts are scaled by {!sat_scale} (factor
+      [scale], default [1.0]) {e before} they are added: [sat_scale (a +
+      b) f] is not [sat_scale a f + sat_scale b f], so the per-record rule
+      is part of every merge's result. *)
+  val add_branch : ?scale:float -> t -> branch -> bool
+
+  val add_range : ?scale:float -> t -> range -> bool
+  val add_sample : ?scale:float -> t -> sample -> bool
+
+  (** Every record of a profile, at one scale. *)
+  val add_profile : ?scale:float -> t -> profile -> unit
+
+  (** Saturating sum of every (scaled) count filed under a function;
+      [0L] for an absent one. *)
+  val events : t -> string -> int64
+
+  (** Drop a function and all its records. *)
+  val remove : t -> string -> unit
+
+  (** [absorb ~into src] adds every record of [src] into [into] and
+      empties [src].  A function [into] lacks moves over without being
+      copied, so absorbing accumulators over disjoint function sets costs
+      one step per function. *)
+  val absorb : into:t -> t -> unit
+
+  (** The records in canonical form: sorted, [total_samples] the
+      saturating sum of branch and sample counts, [fingerprints] sorted
+      and deduplicated. *)
+  val to_profile :
+    lbr:bool ->
+    header:header option ->
+    fingerprints:Bolt_obj.Fingerprint.func list ->
+    t ->
+    profile
+end
+
 (** Canonical form: duplicate records (same endpoints) aggregated with
-    {!sat_add}, then sorted.  Profiles holding the same multiset of events
-    normalize to identical values — and identical bytes — which is what
-    makes merged output independent of shard order and [-j]. *)
+    {!sat_add}, then sorted — a fold into an {!Acc.t}.  Profiles holding
+    the same multiset of events normalize to identical values — and
+    identical bytes — which is what makes merged output independent of
+    shard order. *)
 val normalize : t -> t
 
 val to_string : t -> string

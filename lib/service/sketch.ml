@@ -17,32 +17,26 @@
    services fed the same shards in any order inside a step agree on
    every byte of state.
 
-   Ingest goes through [Fdata.scan]: records are folded into the
-   per-function entries as the lexer produces them, and per-shard
-   record lists never materialize. *)
+   Ingest goes through [Fdata.scan]: records are folded into the host's
+   [Fdata.Acc] as the lexer produces them, and per-shard record lists
+   never materialize.  The accumulator knows nothing of the cost model:
+   it reports which records opened a new key, and the sketch charges
+   those. *)
 
 module Fdata = Bolt_profile.Fdata
 module Obs = Bolt_obs.Obs
 
-(* One function's accumulated records from a host's latest shard.
-   Records of the same key are summed at ingest (saturating), so an
-   entry is bounded by the function's distinct (offset-pair) keys. *)
-type entry = {
-  e_func : string;
-  mutable e_events : int64; (* total count mass, eviction priority *)
-  mutable e_bytes : int; (* cost-model estimate of this entry *)
-  mutable e_branches : (int * string * int, int64 * int64) Hashtbl.t;
-  mutable e_ranges : (int * int, int64) Hashtbl.t;
-  mutable e_samples : (int, int64) Hashtbl.t;
-}
-
+(* One host's retained state: the provenance of its latest shard and
+   that shard's records, summed per function in an [Fdata.Acc].
+   [hs_cost] holds the cost-model bytes of each retained function. *)
 type host_state = {
   hs_host : string;
   mutable hs_header : Fdata.header;
   mutable hs_lbr : bool;
   mutable hs_fingerprints : Bolt_obj.Fingerprint.t;
-  hs_entries : (string, entry) Hashtbl.t;
-  mutable hs_bytes : int; (* sum of entry costs + host base cost *)
+  mutable hs_acc : Fdata.Acc.t;
+  hs_cost : (string, int ref) Hashtbl.t;
+  mutable hs_bytes : int; (* sum of function costs + host base cost *)
 }
 
 type t = {
@@ -85,44 +79,38 @@ let create ?obs ~topk ~budget () =
     malformed = 0;
   }
 
-let entry_of func =
-  {
-    e_func = func;
-    e_events = 0L;
-    e_bytes = entry_base + String.length func;
-    e_branches = Hashtbl.create 8;
-    e_ranges = Hashtbl.create 4;
-    e_samples = Hashtbl.create 4;
-  }
-
-let evict_entry t (hs : host_state) (e : entry) =
-  Hashtbl.remove hs.hs_entries e.e_func;
-  hs.hs_bytes <- hs.hs_bytes - e.e_bytes;
-  t.occupancy <- t.occupancy - e.e_bytes;
+let evict t (hs : host_state) func =
+  let bytes = !(Hashtbl.find hs.hs_cost func) in
+  t.evicted_events <- Fdata.sat_add t.evicted_events (Fdata.Acc.events hs.hs_acc func);
+  Fdata.Acc.remove hs.hs_acc func;
+  Hashtbl.remove hs.hs_cost func;
+  hs.hs_bytes <- hs.hs_bytes - bytes;
+  t.occupancy <- t.occupancy - bytes;
   t.evictions <- t.evictions + 1;
-  t.evicted_events <- Fdata.sat_add t.evicted_events e.e_events;
   Obs.incr t.obs "service.sketch_evictions"
 
-(* Deterministic eviction order: least event mass first, then host, then
-   function name. *)
-let evict_order (h1, (e1 : entry)) (h2, (e2 : entry)) =
-  compare (e1.e_events, h1, e1.e_func) (e2.e_events, h2, e2.e_func)
+(* Every retained function of [hs] as an eviction candidate, keyed for
+   the deterministic eviction order: least event mass first, then host,
+   then function name. *)
+let candidates (hs : host_state) acc =
+  Hashtbl.fold
+    (fun func _ acc ->
+      ((Fdata.Acc.events hs.hs_acc func, hs.hs_host, func), hs) :: acc)
+    hs.hs_cost acc
+
+(* Evict [cands] in eviction order for as long as [cond] holds. *)
+let evict_while t cond cands =
+  let rec go = function
+    | ((_, _, func), hs) :: rest when cond () ->
+        evict t hs func;
+        go rest
+    | _ -> ()
+  in
+  go (List.sort (fun (k1, _) (k2, _) -> compare k1 k2) cands)
 
 let enforce_topk t (hs : host_state) =
-  let n = Hashtbl.length hs.hs_entries in
-  if n > t.topk then begin
-    let entries =
-      Hashtbl.fold (fun _ e acc -> (hs.hs_host, e) :: acc) hs.hs_entries []
-      |> List.sort evict_order
-    in
-    let rec drop k = function
-      | (_, e) :: rest when k > 0 ->
-          evict_entry t hs e;
-          drop (k - 1) rest
-      | _ -> ()
-    in
-    drop (n - t.topk) entries
-  end
+  let over () = Hashtbl.length hs.hs_cost > t.topk in
+  if over () then evict_while t over (candidates hs [])
 
 (* Global budget: evict the fleet-wide smallest entries until occupancy
    falls to a low-water mark (90% of budget), so enforcement runs once
@@ -131,21 +119,9 @@ let enforce_topk t (hs : host_state) =
 let enforce_budget t =
   if t.occupancy > t.budget then begin
     let low_water = t.budget * 9 / 10 in
-    let all =
-      Hashtbl.fold
-        (fun _ hs acc ->
-          Hashtbl.fold (fun _ e acc -> (hs, e) :: acc) hs.hs_entries acc)
-        t.hosts []
-      |> List.sort (fun (h1, e1) (h2, e2) ->
-             evict_order (h1.hs_host, e1) (h2.hs_host, e2))
-    in
-    let rec go = function
-      | (hs, e) :: rest when t.occupancy > low_water ->
-          evict_entry t hs e;
-          go rest
-      | _ -> ()
-    in
-    go all
+    evict_while t
+      (fun () -> t.occupancy > low_water)
+      (Hashtbl.fold (fun _ hs acc -> candidates hs acc) t.hosts [])
   end
 
 (* What one [ingest] call did. *)
@@ -163,7 +139,8 @@ let ingest t ~host (text : string) : ingested =
     | Some hs ->
         (* superseded: reset entries, keep identity *)
         t.occupancy <- t.occupancy - hs.hs_bytes;
-        Hashtbl.reset hs.hs_entries;
+        hs.hs_acc <- Fdata.Acc.create ();
+        Hashtbl.reset hs.hs_cost;
         hs.hs_bytes <- host_base + String.length host;
         t.occupancy <- t.occupancy + hs.hs_bytes;
         hs
@@ -174,7 +151,8 @@ let ingest t ~host (text : string) : ingested =
             hs_header = { Fdata.no_header with Fdata.hd_host = host };
             hs_lbr = true;
             hs_fingerprints = [];
-            hs_entries = Hashtbl.create 64;
+            hs_acc = Fdata.Acc.create ();
+            hs_cost = Hashtbl.create 64;
             hs_bytes = host_base + String.length host;
           }
         in
@@ -183,57 +161,34 @@ let ingest t ~host (text : string) : ingested =
         hs
   in
   let records = ref 0 in
-  let entry func =
-    match Hashtbl.find_opt hs.hs_entries func with
-    | Some e -> e
-    | None ->
-        let e = entry_of func in
-        Hashtbl.add hs.hs_entries func e;
-        hs.hs_bytes <- hs.hs_bytes + e.e_bytes;
-        t.occupancy <- t.occupancy + e.e_bytes;
-        e
+  (* a new key costs [by] bytes; a function's first key also pays for
+     the function's entry *)
+  let charge is_new func by =
+    incr records;
+    if is_new then begin
+      let by =
+        match Hashtbl.find_opt hs.hs_cost func with
+        | Some cost ->
+            cost := !cost + by;
+            by
+        | None ->
+            let by = by + entry_base + String.length func in
+            Hashtbl.add hs.hs_cost func (ref by);
+            by
+      in
+      hs.hs_bytes <- hs.hs_bytes + by;
+      t.occupancy <- t.occupancy + by
+    end
   in
-  let grow e by =
-    e.e_bytes <- e.e_bytes + by;
-    hs.hs_bytes <- hs.hs_bytes + by;
-    t.occupancy <- t.occupancy + by
-  in
+  let acc = hs.hs_acc in
   let prof, warnings =
     Fdata.scan
-      ~branch:(fun (b : Fdata.branch) ->
-        incr records;
-        let e = entry b.Fdata.br_from_func in
-        e.e_events <- Fdata.sat_add e.e_events b.Fdata.br_count;
-        let k = (b.Fdata.br_from_off, b.Fdata.br_to_func, b.Fdata.br_to_off) in
-        (match Hashtbl.find_opt e.e_branches k with
-        | Some (c, m) ->
-            Hashtbl.replace e.e_branches k
-              ( Fdata.sat_add c b.Fdata.br_count,
-                Fdata.sat_add m b.Fdata.br_mispreds )
-        | None ->
-            Hashtbl.add e.e_branches k (b.Fdata.br_count, b.Fdata.br_mispreds);
-            grow e (branch_cost b.Fdata.br_to_func)))
-      ~range:(fun (r : Fdata.range) ->
-        incr records;
-        let e = entry r.Fdata.rg_func in
-        e.e_events <- Fdata.sat_add e.e_events r.Fdata.rg_count;
-        let k = (r.Fdata.rg_start, r.Fdata.rg_end) in
-        (match Hashtbl.find_opt e.e_ranges k with
-        | Some c -> Hashtbl.replace e.e_ranges k (Fdata.sat_add c r.Fdata.rg_count)
-        | None ->
-            Hashtbl.add e.e_ranges k r.Fdata.rg_count;
-            grow e range_cost))
-      ~sample:(fun (s : Fdata.sample) ->
-        incr records;
-        let e = entry s.Fdata.sm_func in
-        e.e_events <- Fdata.sat_add e.e_events s.Fdata.sm_count;
-        match Hashtbl.find_opt e.e_samples s.Fdata.sm_off with
-        | Some c ->
-            Hashtbl.replace e.e_samples s.Fdata.sm_off
-              (Fdata.sat_add c s.Fdata.sm_count)
-        | None ->
-            Hashtbl.add e.e_samples s.Fdata.sm_off s.Fdata.sm_count;
-            grow e sample_cost)
+      ~branch:(fun b ->
+        charge (Fdata.Acc.add_branch acc b) b.Fdata.br_from_func
+          (branch_cost b.Fdata.br_to_func))
+      ~range:(fun r -> charge (Fdata.Acc.add_range acc r) r.Fdata.rg_func range_cost)
+      ~sample:(fun s ->
+        charge (Fdata.Acc.add_sample acc s) s.Fdata.sm_func sample_cost)
       text
   in
   (* provenance from the scan's header view; keep the host's name as the
@@ -257,7 +212,7 @@ let ingest t ~host (text : string) : ingested =
 let hosts t = Hashtbl.length t.hosts
 
 let funcs t =
-  Hashtbl.fold (fun _ hs acc -> acc + Hashtbl.length hs.hs_entries) t.hosts 0
+  Hashtbl.fold (fun _ hs acc -> acc + Hashtbl.length hs.hs_cost) t.hosts 0
 
 let occupancy t = t.occupancy
 let peak t = t.peak
@@ -270,44 +225,8 @@ let malformed t = t.malformed
 
 (* Materialize one host's retained state as a canonical profile. *)
 let profile_of (hs : host_state) : Fdata.t =
-  let branches = ref [] and ranges = ref [] and samples = ref [] in
-  Hashtbl.iter
-    (fun _ (e : entry) ->
-      Hashtbl.iter
-        (fun (fo, tf, to_) (c, m) ->
-          branches :=
-            {
-              Fdata.br_from_func = e.e_func;
-              br_from_off = fo;
-              br_to_func = tf;
-              br_to_off = to_;
-              br_count = c;
-              br_mispreds = m;
-            }
-            :: !branches)
-        e.e_branches;
-      Hashtbl.iter
-        (fun (s, en) c ->
-          ranges :=
-            { Fdata.rg_func = e.e_func; rg_start = s; rg_end = en; rg_count = c }
-            :: !ranges)
-        e.e_ranges;
-      Hashtbl.iter
-        (fun o c ->
-          samples :=
-            { Fdata.sm_func = e.e_func; sm_off = o; sm_count = c } :: !samples)
-        e.e_samples)
-    hs.hs_entries;
-  Fdata.normalize
-    {
-      Fdata.lbr = hs.hs_lbr;
-      header = Some hs.hs_header;
-      branches = !branches;
-      ranges = !ranges;
-      samples = !samples;
-      total_samples = 0L (* recomputed by normalize *);
-      fingerprints = hs.hs_fingerprints;
-    }
+  Fdata.Acc.to_profile ~lbr:hs.hs_lbr ~header:(Some hs.hs_header)
+    ~fingerprints:hs.hs_fingerprints hs.hs_acc
 
 (* Every host's retained shard, in sorted host order — the merger input
    for a service assessment step.  Canonical form regardless of the

@@ -1,8 +1,9 @@
 (* Continuous-optimization service tests: the bounded-memory sketch
-   (top-K eviction, newest-shard-wins, the global byte budget), the
-   sharded-by-function-key parallel merge's byte parity with the
-   streaming merge, the trigger policy on scripted tapes, tape/spool
-   parsing, injected-clock manifest reproducibility, and the e2e
+   (top-K eviction, newest-shard-wins, the global byte budget, the
+   round trip of an unevicted shard), the byte parity of every merge
+   engine (batch, streaming, sharded by function key), the trigger
+   policy on scripted tapes, tape/spool parsing, injected-clock
+   manifest reproducibility, and the e2e
    acceptance check — a 1000-host tape with drifting revisions must
    fire a re-optimization whose binary beats the pre-trigger build,
    byte-identically for any arrival order and any -j. *)
@@ -95,8 +96,43 @@ let test_sketch_budget () =
   Alcotest.(check bool) "the bound forced evictions" true (Sk.evictions sk > 0);
   Alcotest.(check int) "host states survive eviction" 10 (Sk.hosts sk)
 
+(* With nothing evicted, the sketch hands back exactly the canonical
+   form of the shard it ingested, duplicate keys summed, under the host
+   name the service knows it by. *)
+let test_sketch_round_trip () =
+  let text =
+    String.concat "\n"
+      [
+        "mode lbr"; "H host shard-claims-this"; "H build-id rev7";
+        "H timestamp 4242"; "H events 900";
+        "G f 208 6450b1484cf4a5 24c2db74b1ff07 -";
+        "B f 0 g 0 40 2"; "B f 8 f 16 5 0"; "B f 0 g 0 60 1";
+        "F f 0 8 30"; "F f 0 8 12"; "F g 0 4 9";
+        "S g 4 3"; "S g 4 4"; "S f 12 1";
+        "";
+      ]
+  in
+  let sk = Sk.create ~topk:64 ~budget:(1 lsl 20) () in
+  ignore (Sk.ingest sk ~host:"web07" text);
+  Alcotest.(check int) "nothing evicted" 0 (Sk.evictions sk);
+  let expected =
+    let p = Fdata.normalize (fst (Fdata.parse text)) in
+    let hd = Option.value ~default:Fdata.no_header p.Fdata.header in
+    { p with Fdata.header = Some { hd with Fdata.hd_host = "web07" } }
+  in
+  match Sk.to_shards sk with
+  | [ sh ] ->
+      Alcotest.(check string) "shard named after the host" "web07"
+        sh.Merge.sh_name;
+      Alcotest.(check string) "to_shards == normalize (parse text)"
+        (Fdata.to_string expected)
+        (Fdata.to_string sh.Merge.sh_prof);
+      Alcotest.(check bool) "structurally equal too" true
+        (expected = sh.Merge.sh_prof)
+  | shards -> Alcotest.failf "expected 1 shard, got %d" (List.length shards)
+
 (* ------------------------------------------------------------------ *)
-(* Sharded-by-function-key merge == streaming merge, byte for byte    *)
+(* Every merge engine agrees, byte for byte                            *)
 
 let small_scale =
   {
@@ -107,35 +143,98 @@ let small_scale =
     sc_wave = 4;
   }
 
+(* Every engine over the same shard texts, byte for byte: the batch
+   merge over the parsed shards, the stream, and the sharded stream at
+   several job counts and over reversed input. *)
+let check_engines_agree label ?(opts = Merge.default_options) texts =
+  let baseline = Fdata.to_string (Merge.merge_stream ~opts texts) in
+  let parsed =
+    List.map
+      (fun (name, text) -> Merge.shard_of_profile ~name (fst (Fdata.parse text)))
+      texts
+  in
+  Alcotest.(check string) (label ^ ": merge == stream") baseline
+    (Fdata.to_string (Merge.merge ~opts parsed));
+  List.iter
+    (fun jobs ->
+      let opts = { opts with Merge.jobs } in
+      Alcotest.(check string)
+        (Printf.sprintf "%s: sharded j=%d == stream" label jobs)
+        baseline
+        (Fdata.to_string (Merge.merge_stream_sharded ~opts texts));
+      Alcotest.(check string)
+        (Printf.sprintf "%s: sharded j=%d over reversed input == stream" label jobs)
+        baseline
+        (Fdata.to_string (Merge.merge_stream_sharded ~opts (List.rev texts))))
+    [ 2; 3; 4 ]
+
+(* Duplicate keys inside one shard, counts near [Int64.max_int]: under a
+   fractional scale, scaling each record before adding differs from
+   adding first, and near saturation both orders pin differently. *)
+let saturating_shards =
+  let big = Int64.to_string (Int64.div Int64.max_int 2L) in
+  [
+    ( "h1.fdata",
+      String.concat "\n"
+        [
+          "mode lbr"; "H host h1"; "H timestamp 1000";
+          "B f 0 g 0 " ^ big ^ " 1";
+          "B f 0 g 0 " ^ big ^ " 1";
+          "B f 8 f 12 5 0";
+          "B f 8 f 12 5 0";
+          "F f 0 8 " ^ big;
+          "F f 0 8 " ^ big;
+          "S g 4 3";
+          "S g 4 3";
+          "";
+        ] );
+    ( "h2.fdata",
+      String.concat "\n"
+        [
+          "mode lbr"; "H host h2"; "H timestamp 2000";
+          "B f 0 g 0 " ^ big ^ " 2";
+          "B f 8 f 12 7 1";
+          "B g 0 f 0 9 0";
+          "S g 4 " ^ big;
+          "";
+        ] );
+  ]
+
 let test_sharded_merge_parity () =
   let texts =
     List.map (fun (_, h, x) -> (h, x)) (FS.scale_tape small_scale)
   in
-  let baseline = Fdata.to_string (Merge.merge_stream texts) in
-  List.iter
-    (fun jobs ->
-      let opts = { Merge.default_options with Merge.jobs } in
-      Alcotest.(check string)
-        (Printf.sprintf "sharded j=%d == stream" jobs)
-        baseline
-        (Fdata.to_string (Merge.merge_stream_sharded ~opts texts)))
-    [ 2; 3; 4 ];
-  (* arrival order of the shard list must not matter either *)
-  let opts = { Merge.default_options with Merge.jobs = 4 } in
-  Alcotest.(check string) "sharded over reversed input == stream" baseline
-    (Fdata.to_string (Merge.merge_stream_sharded ~opts (List.rev texts)));
+  check_engines_agree "scale tape" texts;
   (* parity holds under the full option set: weights, decay, pinned id *)
+  check_engines_agree "scale tape, weights+decay+id"
+    ~opts:
+      {
+        Merge.weights = [ ("mh00003.dc1", 3.0) ];
+        decay = Some 1e-6;
+        expect_build_id = Some FS.scale_build_id;
+        jobs = 1;
+      }
+    texts;
   let opts =
-    {
-      Merge.weights = [ ("mh00003.dc1", 3.0) ];
-      decay = Some 1e-6;
-      expect_build_id = Some FS.scale_build_id;
-      jobs = 3;
-    }
+    { Merge.default_options with Merge.weights = [ ("h1", 3.0) ]; decay = Some 1e-3 }
   in
-  Alcotest.(check string) "sharded == stream under weights+decay+id"
-    (Fdata.to_string (Merge.merge_stream ~opts:{ opts with Merge.jobs = 1 } texts))
-    (Fdata.to_string (Merge.merge_stream_sharded ~opts texts))
+  check_engines_agree "saturating duplicates, weight+decay" ~opts
+    saturating_shards;
+  (* the rule all engines share: each record scaled, then added *)
+  let f = 3.0 *. exp (-1e-3 *. 1000.0) in
+  let merged = Merge.merge_stream ~opts saturating_shards in
+  let count ff fo =
+    List.find
+      (fun (b : Fdata.branch) -> b.Fdata.br_from_func = ff && b.Fdata.br_from_off = fo)
+      merged.Fdata.branches
+  in
+  Alcotest.(check int64) "duplicates scaled one by one"
+    (Int64.add 7L (Int64.mul 2L (Fdata.sat_scale 5L f)))
+    (count "f" 8).Fdata.br_count;
+  Alcotest.(check bool) "and not scaled as a sum" true
+    (Int64.add 7L (Fdata.sat_scale 10L f) <> (count "f" 8).Fdata.br_count);
+  Alcotest.(check int64) "near max_int the sum saturates" Int64.max_int
+    (count "f" 0).Fdata.br_count
 
 (* ------------------------------------------------------------------ *)
 (* Trigger policy on a scripted tape                                  *)
@@ -390,6 +489,8 @@ let suite =
       test_sketch_latest_wins;
     Alcotest.test_case "sketch: global byte budget holds under pressure" `Quick
       test_sketch_budget;
+    Alcotest.test_case "sketch: round trip without eviction" `Quick
+      test_sketch_round_trip;
     Alcotest.test_case "sharded merge == streaming merge (bytes)" `Quick
       test_sharded_merge_parity;
     Alcotest.test_case "trigger: quality gate after min-hosts" `Quick
