@@ -154,11 +154,7 @@ let run shards out weights decay expect strict_shards report health trace_out
                 loaded
             in
             let recovery =
-              match List.map snd per_host_recovery with
-              | [] -> None
-              | st :: rest ->
-                  Some
-                    (List.fold_left Bolt_profile.Stale_match.add_stats st rest)
+              Bolt_profile.Stale_match.sum_stats (List.map snd per_host_recovery)
             in
             let merged = Merge.merge ~obs ~opts loaded in
             let q = Quality.assess ?expect_build_id ?recovery q_shards ~merged in

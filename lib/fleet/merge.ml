@@ -95,26 +95,29 @@ let host_of sh =
 let newest_timestamp shards =
   List.fold_left (fun a sh -> max a (header sh).Fdata.hd_timestamp) 0 shards
 
-(* The most common non-empty shard build-id; ties break to the
-   lexicographically smallest so the choice never depends on input
-   order.  "" when no shard is stamped. *)
-let modal_build_id shards =
-  let tally = Hashtbl.create 8 in
-  List.iter
-    (fun sh ->
-      let id = (header sh).Fdata.hd_build_id in
-      if id <> "" then
-        Hashtbl.replace tally id (1 + try Hashtbl.find tally id with Not_found -> 0))
-    shards;
+(* The most common non-empty shard build-id, from a build-id -> shard
+   count tally; ties break to the lexicographically smallest so the
+   choice never depends on input order.  "" when no shard is stamped. *)
+let modal_of_tally (tally : (string, int) Hashtbl.t) =
   Hashtbl.fold
     (fun id n best ->
       match best with
+      | _ when id = "" -> best
       | Some (bid, bn) when bn > n || (bn = n && bid <= id) -> best
       | _ -> Some (id, n))
     tally None
   |> function
   | Some (id, _) -> id
   | None -> ""
+
+let modal_build_id shards =
+  let tally = Hashtbl.create 8 in
+  List.iter
+    (fun sh ->
+      let id = (header sh).Fdata.hd_build_id in
+      Hashtbl.replace tally id (1 + try Hashtbl.find tally id with Not_found -> 0))
+    shards;
+  modal_of_tally tally
 
 let scale_of opts ~newest sh =
   let h = header sh in
@@ -155,45 +158,43 @@ let merged_header opts shards =
     hd_weight = 1.0;
   }
 
-(* Recover stale shards against the target revision before merging:
-   every shard whose build-id disagrees with [build_id] and that carries
-   its own fingerprints is re-keyed through [Stale_match], so its events
+(* Recover a stale shard against the target revision before merging:
+   a shard whose build-id disagrees with [build_id] and that carries its
+   own fingerprints is re-keyed through [Stale_match], so its events
    survive the merge instead of polluting it with dead names/offsets.
-   Returns the (possibly rewritten) shards plus, per recovered shard,
-   the host label and its recovery breakdown — the per-host series the
-   fleet health monitor folds over ticks. *)
-let recover_stale_each ~(fingerprints : Bolt_obj.Fingerprint.t)
-    ~(build_id : string) (shards : loaded list) :
+   Returns the shard as is, and no breakdown, otherwise. *)
+let recover_shard ~(fingerprints : Bolt_obj.Fingerprint.t) ~(build_id : string)
+    (sh : loaded) : loaded * Bolt_profile.Stale_match.stats option =
+  if fingerprints = [] || build_id = "" then (sh, None)
+  else
+    match
+      Bolt_profile.Stale_match.recover_if_stale ~fingerprints ~build_id sh.sh_prof
+    with
+    | Some (p, st) -> ({ sh with sh_prof = p }, Some st)
+    | None -> (sh, None)
+
+(* [recover_shard] over a shard set: the (possibly rewritten) shards
+   plus, per recovered shard, the host label and its recovery breakdown
+   — the per-host series the fleet health monitor folds over ticks. *)
+let recover_stale_each ~fingerprints ~build_id (shards : loaded list) :
     loaded list * (string * Bolt_profile.Stale_match.stats) list =
-  if fingerprints = [] || build_id = "" then (shards, [])
-  else begin
-    let per_shard = ref [] in
-    let shards' =
-      List.map
-        (fun sh ->
-          match
-            Bolt_profile.Stale_match.recover_if_stale ~fingerprints ~build_id
-              sh.sh_prof
-          with
-          | Some (p, st) ->
-              per_shard := (host_of sh, st) :: !per_shard;
-              { sh with sh_prof = p }
-          | None -> sh)
-        shards
-    in
-    (shards', List.rev !per_shard)
-  end
+  let per_shard = ref [] in
+  let shards' =
+    List.map
+      (fun sh ->
+        let sh', st = recover_shard ~fingerprints ~build_id sh in
+        Option.iter (fun st -> per_shard := (host_of sh, st) :: !per_shard) st;
+        sh')
+      shards
+  in
+  (shards', List.rev !per_shard)
 
 (* The aggregate view of [recover_stale_each]: one summed breakdown,
    [None] when nothing needed recovering. *)
 let recover_stale ~fingerprints ~build_id (shards : loaded list) :
     loaded list * Bolt_profile.Stale_match.stats option =
   let shards', per_shard = recover_stale_each ~fingerprints ~build_id shards in
-  ( shards',
-    match List.map snd per_shard with
-    | [] -> None
-    | st :: rest -> Some (List.fold_left Bolt_profile.Stale_match.add_stats st rest)
-  )
+  (shards', Bolt_profile.Stale_match.sum_stats (List.map snd per_shard))
 
 (* The merged profile from the summed records: the [merged_header]
    provenance, the target revision's fingerprints carried forward (from

@@ -68,46 +68,23 @@ let alerts t = List.concat_map (fun tk -> tk.tk_alerts) (ticks t)
 let stale_hosts (tk : tick) =
   List.filter_map (fun h -> if h.hs_stale then Some h.hs_host else None) tk.tk_hosts
 
-(* Per-host coverage of the merged profile's function set — the same
-   notion [Quality.assess] averages, kept per host here.  The merged
-   function table is computed once per tick and shared across hosts: at
-   daemon scale (thousands of hosts) rebuilding it per host dominates
-   the whole observation. *)
-let coverage_of ~merged_funcs (sh : Merge.loaded) =
-  let nfuncs = Hashtbl.length merged_funcs in
-  if nfuncs = 0 then 0.0
-  else begin
-    let seen = Fdata.func_events sh.Merge.sh_prof in
-    let hit =
-      Hashtbl.fold
-        (fun f _ acc -> if Hashtbl.mem merged_funcs f then acc + 1 else acc)
-        seen 0
-    in
-    100.0 *. float_of_int hit /. float_of_int nfuncs
-  end
-
-let host_coverage ~(merged : Fdata.t) (sh : Merge.loaded) =
-  coverage_of ~merged_funcs:(Fdata.func_events merged) sh
-
-(* Fold one aggregation round into the monitor.  [shards] are the
-   shards as collected (pre-recovery, so provenance is the hosts'
-   truth), [merged] the round's merged profile, [recovery] the per-host
-   breakdown from [Merge.recover_stale_each].  Emits `fleet.monitor.*`
-   events and counters through [obs] and returns the recorded tick. *)
-let observe ?obs t ~(expected_build_id : string)
-    ?(recovery : (string * Stale_match.stats) list = [])
-    (shards : Merge.loaded list) ~(merged : Fdata.t) : tick =
+(* Fold one aggregation round into the monitor, read from a fleet view:
+   [rows] are the round's retained shards in the view, in report order,
+   each with its host's stale-recovery breakdown; [recovery] is the
+   round's aggregate breakdown.  Emits `fleet.monitor.*` events and
+   counters through [obs] and returns the recorded tick. *)
+let observe_view ?obs t ~(expected_build_id : string)
+    ?(recovery : Stale_match.stats option) (v : Quality.view)
+    (rows : (Quality.slot * Stale_match.stats option) list) : tick =
   let obs = match obs with Some o -> o | None -> Obs.null () in
   let index = List.length t.ticks in
-  let newest = Merge.newest_timestamp shards in
-  let agg_recovery =
-    match List.map snd recovery with
-    | [] -> None
-    | st :: rest -> Some (List.fold_left Stale_match.add_stats st rest)
+  let newest =
+    List.fold_left
+      (fun a ((sl : Quality.slot), _) -> max a sl.sl_sum.su_header.Fdata.hd_timestamp)
+      0 rows
   in
   let quality =
-    Quality.assess ~expect_build_id:expected_build_id ?recovery:agg_recovery
-      shards ~merged
+    Quality.report v ~expected:expected_build_id ?recovery (List.map fst rows)
   in
   let alerts = ref [] in
   let alert ~host kind detail =
@@ -119,12 +96,12 @@ let observe ?obs t ~(expected_build_id : string)
         @ if host = "" then [] else [ ("host", Json.String host) ])
   in
   let th = t.thresholds in
-  let merged_funcs = Fdata.func_events merged in
   let hosts =
     List.map
-      (fun sh ->
-        let header = Merge.header sh in
-        let host = Merge.host_of sh in
+      (fun ((sl : Quality.slot), st) ->
+        let su = sl.sl_sum in
+        let header = su.su_header in
+        let host = su.su_host in
         let build = header.Fdata.hd_build_id in
         let stale =
           expected_build_id <> "" && build <> "" && build <> expected_build_id
@@ -133,12 +110,8 @@ let observe ?obs t ~(expected_build_id : string)
           if header.Fdata.hd_timestamp = 0 then 0
           else newest - header.Fdata.hd_timestamp
         in
-        let coverage = coverage_of ~merged_funcs sh in
-        let rate =
-          match List.assoc_opt host recovery with
-          | Some st -> Some (Stale_match.recovery_rate st)
-          | None -> None
-        in
+        let coverage = Quality.coverage_pct v sl in
+        let rate = Option.map Stale_match.recovery_rate st in
         let n_alerts = ref 0 in
         let host_alert kind detail = incr n_alerts; alert ~host kind detail in
         if stale then
@@ -166,12 +139,10 @@ let observe ?obs t ~(expected_build_id : string)
           hs_age = age;
           hs_coverage_pct = coverage;
           hs_recovery_rate = rate;
-          hs_events =
-            (if header.Fdata.hd_events > 0L then header.Fdata.hd_events
-             else sh.Merge.sh_prof.Fdata.total_samples);
+          hs_events = su.su_events;
           hs_alerts = !n_alerts;
         })
-      shards
+      rows
   in
   if quality.Quality.q_staleness_pct > th.th_max_stale_pct then
     alert ~host:"" "fleet_stale"
@@ -207,6 +178,26 @@ let observe ?obs t ~(expected_build_id : string)
   t.ticks <- tk :: t.ticks;
   tk
 
+(* Fold one aggregation round into the monitor.  [shards] are the
+   shards as collected (pre-recovery, so provenance is the hosts'
+   truth), [merged] the round's merged profile, [recovery] the per-host
+   breakdown from [Merge.recover_stale_each] (a host listed twice reads
+   its first breakdown).  Builds the round's fleet view and reads it
+   through [observe_view]. *)
+let observe ?obs t ~(expected_build_id : string)
+    ?(recovery : (string * Stale_match.stats) list = [])
+    (shards : Merge.loaded list) ~(merged : Fdata.t) : tick =
+  let by_host = Hashtbl.create 16 in
+  List.iter
+    (fun (host, st) -> if not (Hashtbl.mem by_host host) then Hashtbl.add by_host host st)
+    recovery;
+  let agg = Stale_match.sum_stats (List.map snd recovery) in
+  let v, slots = Quality.view_of_shards shards ~merged in
+  observe_view ?obs t ~expected_build_id ?recovery:agg v
+    (List.map
+       (fun (sl : Quality.slot) -> (sl, Hashtbl.find_opt by_host sl.sl_sum.su_host))
+       slots)
+
 (* ---- rendering ---- *)
 
 let short_id s = if String.length s > 10 then String.sub s 0 10 else s
@@ -238,7 +229,22 @@ let pp ppf (t : t) =
             | None -> "-")
             (List.length tk.tk_alerts))
         all;
-      (* per-host rollout/health view over the ticks *)
+      (* per-host rollout/health view over the ticks: each tick's state
+         char per host, indexed once (a host listed twice in a tick
+         shows its first entry) *)
+      let index =
+        Array.of_list
+          (List.map
+             (fun tk ->
+               let by_host = Hashtbl.create (List.length tk.tk_hosts) in
+               List.iter
+                 (fun h ->
+                   if not (Hashtbl.mem by_host h.hs_host) then
+                     Hashtbl.add by_host h.hs_host (host_char h))
+                 tk.tk_hosts;
+               by_host)
+             all)
+      in
       let width =
         List.fold_left
           (fun w h -> max w (String.length h.hs_host))
@@ -249,14 +255,8 @@ let pp ppf (t : t) =
       List.iter
         (fun (h : host_state) ->
           let history =
-            String.init (List.length all) (fun i ->
-                match
-                  List.find_opt
-                    (fun x -> x.hs_host = h.hs_host)
-                    (List.nth all i).tk_hosts
-                with
-                | Some hx -> host_char hx
-                | None -> ' ')
+            String.init (Array.length index) (fun i ->
+                Option.value ~default:' ' (Hashtbl.find_opt index.(i) h.hs_host))
           in
           Fmt.pf ppf "  %-*s %-10s %8d %6.1f %6s %-7s %s@." width h.hs_host
             (match h.hs_build_id with "" -> "<none>" | id -> short_id id)

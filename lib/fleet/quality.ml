@@ -41,101 +41,288 @@ let shard_events (sh : Merge.loaded) =
   if h.Fdata.hd_events > 0L then h.Fdata.hd_events
   else sh.sh_prof.Fdata.total_samples
 
+(* ---- the fleet view ----
+
+   What the report reads of a shard set, kept as counts that take a
+   shard change as a delta: the service applies only the hosts that
+   changed in a step, and [assess] builds the same view from its list
+   in one go, so both read one code path.
+
+   The report reads no record counts, only key sets and headers: which
+   functions and branch keys each shard has, its build-id, timestamp
+   and event total.  Two sides are tracked.  The {e retained} side is
+   the shards as collected: their branch-key observers, the coverage
+   hits of each, the build-id tally.  The {e merged} side is whatever
+   the merged profile folds: a refcount per function and per branch key,
+   so a function or key is in the merge while any shard holds it.  That
+   is exactly the merged profile's function and key set, at any scale:
+   [Merge.merge] files every record, however small its scaled count. *)
+
+type key = string * int * string * int (* from_func, from_off, to_func, to_off *)
+
+(* One shard as the report sees it: distinct functions and branch keys,
+   each array sorted and duplicate-free. *)
+type summary = {
+  su_host : string; (* [Merge.host_of] *)
+  su_header : Fdata.header;
+  su_events : int64; (* [shard_events] *)
+  su_funcs : string array;
+  su_keys : key array;
+}
+
+let compare_key ((f1, o1, t1, p1) : key) ((f2, o2, t2, p2) : key) =
+  let c = String.compare f1 f2 in
+  if c <> 0 then c
+  else
+    let c = Int.compare o1 o2 in
+    if c <> 0 then c
+    else
+      let c = String.compare t1 t2 in
+      if c <> 0 then c else Int.compare p1 p2
+
+(* Sort and deduplicate, skipping the sort for an already strictly
+   increasing array (a canonical profile's keys are). *)
+let sorted_distinct cmp (a : 'a array) : 'a array =
+  let n = Array.length a in
+  let rec increasing i = i >= n || (cmp a.(i - 1) a.(i) < 0 && increasing (i + 1)) in
+  if increasing 1 then a
+  else begin
+    let a = Array.copy a in
+    Array.stable_sort cmp a;
+    let out = ref [] in
+    Array.iteri (fun i x -> if i = 0 || cmp a.(i - 1) x <> 0 then out := x :: !out) a;
+    Array.of_list (List.rev !out)
+  end
+
+let summarize (sh : Merge.loaded) : summary =
+  let p = sh.Merge.sh_prof in
+  let funcs = ref [] in
+  let note f =
+    match !funcs with g :: _ when String.equal g f -> () | _ -> funcs := f :: !funcs
+  in
+  List.iter (fun (b : Fdata.branch) -> note b.br_from_func) p.Fdata.branches;
+  List.iter (fun (r : Fdata.range) -> note r.rg_func) p.Fdata.ranges;
+  List.iter (fun (s : Fdata.sample) -> note s.sm_func) p.Fdata.samples;
+  {
+    su_host = Merge.host_of sh;
+    su_header = Merge.header sh;
+    su_events = shard_events sh;
+    su_funcs = Array.of_list (List.sort_uniq String.compare !funcs);
+    su_keys =
+      sorted_distinct compare_key
+        (Array.of_list
+           (List.map
+              (fun (b : Fdata.branch) ->
+                (b.br_from_func, b.br_from_off, b.br_to_func, b.br_to_off))
+              p.Fdata.branches));
+  }
+
+(* The summary of a shard with no records: where a new host starts. *)
+let no_records =
+  {
+    su_host = "";
+    su_header = Fdata.no_header;
+    su_events = 0L;
+    su_funcs = [||];
+    su_keys = [||];
+  }
+
+(* A retained shard in the view: its summary and how many of its
+   functions the merged side holds. *)
+type slot = { mutable sl_sum : summary; mutable sl_hits : int }
+
+type key_count = { mutable k_observers : int; mutable k_refs : int }
+type func_count = { mutable f_refs : int; mutable f_slots : slot list }
+
+type view = {
+  v_keys : (key, key_count) Hashtbl.t;
+  v_funcs : (string, func_count) Hashtbl.t;
+  mutable v_merged_keys : int; (* keys with k_refs > 0 *)
+  mutable v_merged_funcs : int; (* functions with f_refs > 0 *)
+  mutable v_shared : int; (* merged keys with >= 2 retained observers *)
+  v_build_ids : (string, int) Hashtbl.t; (* retained shards per build-id *)
+}
+
+let create_view () =
+  {
+    v_keys = Hashtbl.create 4096;
+    v_funcs = Hashtbl.create 1024;
+    v_merged_keys = 0;
+    v_merged_funcs = 0;
+    v_shared = 0;
+    v_build_ids = Hashtbl.create 8;
+  }
+
+(* Walk two sorted distinct arrays: [gone] gets what only [a] holds,
+   [came] what only [b] holds. *)
+let diff cmp a b ~gone ~came =
+  let na = Array.length a and nb = Array.length b in
+  let rec go i j =
+    if i < na && j < nb then begin
+      let c = cmp a.(i) b.(j) in
+      if c < 0 then (gone a.(i); go (i + 1) j)
+      else if c > 0 then (came b.(j); go i (j + 1))
+      else go (i + 1) (j + 1)
+    end
+    else if i < na then (gone a.(i); go (i + 1) j)
+    else if j < nb then (came b.(j); go i (j + 1))
+  in
+  go 0 0
+
+(* Adjust one key's counts, keeping [v_shared] and [v_merged_keys]. *)
+let bump_key v k ~observers ~refs =
+  let kc =
+    match Hashtbl.find_opt v.v_keys k with
+    | Some kc -> kc
+    | None ->
+        let kc = { k_observers = 0; k_refs = 0 } in
+        Hashtbl.add v.v_keys k kc;
+        kc
+  in
+  let shared kc = kc.k_refs > 0 && kc.k_observers >= 2 in
+  let was_shared = shared kc and was_merged = kc.k_refs > 0 in
+  kc.k_observers <- kc.k_observers + observers;
+  kc.k_refs <- kc.k_refs + refs;
+  if was_shared <> shared kc then
+    v.v_shared <- (v.v_shared + if was_shared then -1 else 1);
+  if was_merged <> (kc.k_refs > 0) then
+    v.v_merged_keys <- (v.v_merged_keys + if was_merged then -1 else 1);
+  if kc.k_observers = 0 && kc.k_refs = 0 then Hashtbl.remove v.v_keys k
+
+let func_count v f =
+  match Hashtbl.find_opt v.v_funcs f with
+  | Some fc -> fc
+  | None ->
+      let fc = { f_refs = 0; f_slots = [] } in
+      Hashtbl.add v.v_funcs f fc;
+      fc
+
+let drop_if_unused v f fc =
+  if fc.f_refs = 0 && fc.f_slots = [] then Hashtbl.remove v.v_funcs f
+
+(* A function entering or leaving the merged side moves the coverage
+   hits of every retained shard that holds it. *)
+let bump_func_refs v f d =
+  let fc = func_count v f in
+  let was = fc.f_refs > 0 in
+  fc.f_refs <- fc.f_refs + d;
+  if was <> (fc.f_refs > 0) then begin
+    let hit = if was then -1 else 1 in
+    v.v_merged_funcs <- v.v_merged_funcs + hit;
+    List.iter (fun sl -> sl.sl_hits <- sl.sl_hits + hit) fc.f_slots
+  end;
+  drop_if_unused v f fc
+
+let bump_tally tbl id d =
+  let n = d + Option.value ~default:0 (Hashtbl.find_opt tbl id) in
+  if n = 0 then Hashtbl.remove tbl id else Hashtbl.replace tbl id n
+
+(* Replace what [sl] retains with [su]. *)
+let set_retained v (sl : slot) (su : summary) =
+  let old = sl.sl_sum in
+  diff String.compare old.su_funcs su.su_funcs
+    ~gone:(fun f ->
+      let fc = func_count v f in
+      fc.f_slots <- List.filter (fun s -> s != sl) fc.f_slots;
+      if fc.f_refs > 0 then sl.sl_hits <- sl.sl_hits - 1;
+      drop_if_unused v f fc)
+    ~came:(fun f ->
+      let fc = func_count v f in
+      fc.f_slots <- sl :: fc.f_slots;
+      if fc.f_refs > 0 then sl.sl_hits <- sl.sl_hits + 1);
+  diff compare_key old.su_keys su.su_keys
+    ~gone:(fun k -> bump_key v k ~observers:(-1) ~refs:0)
+    ~came:(fun k -> bump_key v k ~observers:1 ~refs:0);
+  if old != no_records then bump_tally v.v_build_ids old.su_header.Fdata.hd_build_id (-1);
+  bump_tally v.v_build_ids su.su_header.Fdata.hd_build_id 1;
+  sl.sl_sum <- su
+
+(* A slot retaining nothing yet. *)
+let new_slot () = { sl_sum = no_records; sl_hits = 0 }
+
+let add_retained v (su : summary) : slot =
+  let sl = new_slot () in
+  set_retained v sl su;
+  sl
+
+(* Replace one shard's contribution to the merged side, [before] (or
+   [no_records]) by [after]. *)
+let set_merged v ~(before : summary) ~(after : summary) =
+  diff String.compare before.su_funcs after.su_funcs
+    ~gone:(fun f -> bump_func_refs v f (-1))
+    ~came:(fun f -> bump_func_refs v f 1);
+  diff compare_key before.su_keys after.su_keys
+    ~gone:(fun k -> bump_key v k ~observers:0 ~refs:(-1))
+    ~came:(fun k -> bump_key v k ~observers:0 ~refs:1)
+
+(* Coverage of one retained shard: its share of the merged functions. *)
+let coverage_pct (v : view) (sl : slot) = pct sl.sl_hits v.v_merged_funcs
+
+(* The report over the retained shards [slots], in the order given:
+   every float is summed per shard in that order. *)
+let report (v : view) ~expected ?recovery (slots : slot list) : report =
+  let coverage = ref 0.0 and total_events = ref 0L and stale_events = ref 0L in
+  List.iter
+    (fun sl ->
+      let su = sl.sl_sum in
+      coverage := !coverage +. coverage_pct v sl;
+      total_events := Fdata.sat_add !total_events su.su_events;
+      let id = su.su_header.Fdata.hd_build_id in
+      if expected <> "" && id <> "" && id <> expected then
+        stale_events := Fdata.sat_add !stale_events su.su_events)
+    slots;
+  let nshards = List.length slots in
+  let count id = Option.value ~default:0 (Hashtbl.find_opt v.v_build_ids id) in
+  let agreement_pct = pct v.v_shared v.v_merged_keys in
+  {
+    q_shards = nshards;
+    q_hosts = List.map (fun sl -> sl.sl_sum.su_host) slots |> List.sort_uniq compare;
+    q_events = !total_events;
+    q_functions = v.v_merged_funcs;
+    q_coverage_pct =
+      (if nshards = 0 || v.v_merged_funcs = 0 then 0.0
+       else !coverage /. float_of_int nshards);
+    q_agreement_pct = agreement_pct;
+    q_divergence_pct = (if v.v_merged_keys = 0 then 0.0 else 100.0 -. agreement_pct);
+    q_expected_build_id = expected;
+    q_build_ids =
+      Hashtbl.fold
+        (fun id n acc -> ((if id = "" then "<unstamped>" else id), n) :: acc)
+        v.v_build_ids []
+      |> List.sort compare;
+    q_stale_shards =
+      (if expected = "" then 0
+       else
+         Hashtbl.fold
+           (fun id n acc -> if id <> "" && id <> expected then acc + n else acc)
+           v.v_build_ids 0);
+    q_unstamped_shards = count "";
+    q_staleness_pct =
+      (if !total_events = 0L then 0.0
+       else 100.0 *. Int64.to_float !stale_events /. Int64.to_float !total_events);
+    q_recovery = recovery;
+  }
+
+(* The view of a shard list against its merged profile (canonical, as
+   [Merge.merge] emits it): the shards on the retained side, the merged
+   profile as the one member of the merged side.  Returns the slots in
+   list order. *)
+let view_of_shards (shards : Merge.loaded list) ~(merged : Fdata.t) =
+  let v = create_view () in
+  let slots = List.map (fun sh -> add_retained v (summarize sh)) shards in
+  set_merged v ~before:no_records
+    ~after:(summarize (Merge.shard_of_profile ~name:"" merged));
+  (v, slots)
+
 let assess ?expect_build_id ?recovery (shards : Merge.loaded list)
     ~(merged : Fdata.t) : report =
+  let v, slots = view_of_shards shards ~merged in
   let expected =
     match expect_build_id with
     | Some id -> id
-    | None -> Merge.modal_build_id shards
+    | None -> Merge.modal_of_tally v.v_build_ids
   in
-  let merged_funcs = Fdata.func_events merged in
-  let nfuncs = Hashtbl.length merged_funcs in
-  (* coverage: per-shard fraction of the merged function set it touched *)
-  let coverage_pct =
-    match shards with
-    | [] -> 0.0
-    | _ when nfuncs = 0 -> 0.0
-    | _ ->
-        let per_shard =
-          List.map
-            (fun sh ->
-              let seen = Fdata.func_events sh.Merge.sh_prof in
-              let hit =
-                Hashtbl.fold
-                  (fun f _ acc -> if Hashtbl.mem merged_funcs f then acc + 1 else acc)
-                  seen 0
-              in
-              pct hit nfuncs)
-            shards
-        in
-        List.fold_left ( +. ) 0.0 per_shard /. float_of_int (List.length per_shard)
-  in
-  (* agreement: how many shards observed each merged branch key *)
-  let observers = Hashtbl.create 1024 in
-  List.iter
-    (fun sh ->
-      let mine = Hashtbl.create 256 in
-      List.iter
-        (fun (b : Fdata.branch) ->
-          Hashtbl.replace mine (b.br_from_func, b.br_from_off, b.br_to_func, b.br_to_off) ())
-        sh.Merge.sh_prof.Fdata.branches;
-      Hashtbl.iter
-        (fun k () ->
-          Hashtbl.replace observers k (1 + try Hashtbl.find observers k with Not_found -> 0))
-        mine)
-    shards;
-  let keys = List.length merged.Fdata.branches in
-  let shared =
-    List.fold_left
-      (fun acc (b : Fdata.branch) ->
-        let k = (b.br_from_func, b.br_from_off, b.br_to_func, b.br_to_off) in
-        match Hashtbl.find_opt observers k with
-        | Some n when n >= 2 -> acc + 1
-        | _ -> acc)
-      0 merged.Fdata.branches
-  in
-  let agreement_pct = pct shared keys in
-  (* staleness: shards (and their events) on the wrong revision *)
-  let build_tally = Hashtbl.create 8 in
-  let stale_shards = ref 0 in
-  let unstamped = ref 0 in
-  let total_events = ref 0L in
-  let stale_events = ref 0L in
-  List.iter
-    (fun sh ->
-      let id = (Merge.header sh).Fdata.hd_build_id in
-      let label = if id = "" then "<unstamped>" else id in
-      Hashtbl.replace build_tally label
-        (1 + try Hashtbl.find build_tally label with Not_found -> 0);
-      if id = "" then incr unstamped;
-      let ev = shard_events sh in
-      total_events := Fdata.sat_add !total_events ev;
-      if expected <> "" && id <> "" && id <> expected then begin
-        incr stale_shards;
-        stale_events := Fdata.sat_add !stale_events ev
-      end)
-    shards;
-  let staleness_pct =
-    if !total_events = 0L then 0.0
-    else 100.0 *. Int64.to_float !stale_events /. Int64.to_float !total_events
-  in
-  {
-    q_shards = List.length shards;
-    q_hosts = List.map Merge.host_of shards |> List.sort_uniq compare;
-    q_events = !total_events;
-    q_functions = nfuncs;
-    q_coverage_pct = coverage_pct;
-    q_agreement_pct = agreement_pct;
-    q_divergence_pct = (if keys = 0 then 0.0 else 100.0 -. agreement_pct);
-    q_expected_build_id = expected;
-    q_build_ids =
-      Hashtbl.fold (fun id n acc -> (id, n) :: acc) build_tally []
-      |> List.sort compare;
-    q_stale_shards = !stale_shards;
-    q_unstamped_shards = !unstamped;
-    q_staleness_pct = staleness_pct;
-    q_recovery = recovery;
-  }
+  report v ~expected ?recovery slots
 
 (* Publish the report through the metrics registry, so it lands in the
    run manifest's "metrics" object alongside everything else. *)

@@ -98,6 +98,42 @@ type t = {
          [] for old shards; the raw material for stale-profile matching. *)
 }
 
+(* The canonical record orders, field by field in declaration order:
+   the same order polymorphic [compare] gives, without its generic
+   traversal. *)
+let compare_branch a b =
+  let c = String.compare a.br_from_func b.br_from_func in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.br_from_off b.br_from_off in
+    if c <> 0 then c
+    else
+      let c = String.compare a.br_to_func b.br_to_func in
+      if c <> 0 then c
+      else
+        let c = Int.compare a.br_to_off b.br_to_off in
+        if c <> 0 then c
+        else
+          let c = Int64.compare a.br_count b.br_count in
+          if c <> 0 then c else Int64.compare a.br_mispreds b.br_mispreds
+
+let compare_range a b =
+  let c = String.compare a.rg_func b.rg_func in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.rg_start b.rg_start in
+    if c <> 0 then c
+    else
+      let c = Int.compare a.rg_end b.rg_end in
+      if c <> 0 then c else Int64.compare a.rg_count b.rg_count
+
+let compare_sample a b =
+  let c = String.compare a.sm_func b.sm_func in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.sm_off b.sm_off in
+    if c <> 0 then c else Int64.compare a.sm_count b.sm_count
+
 let empty =
   {
     lbr = true;
@@ -249,9 +285,9 @@ module Acc = struct
     {
       lbr;
       header;
-      branches = List.sort compare !branches;
-      ranges = List.sort compare !ranges;
-      samples = List.sort compare !samples;
+      branches = List.sort compare_branch !branches;
+      ranges = List.sort compare_range !ranges;
+      samples = List.sort compare_sample !samples;
       total_samples = total;
       fingerprints = List.sort_uniq compare fingerprints;
     }

@@ -64,6 +64,14 @@ type header = {
   hd_weight : float;  (** merge-time relative weight; default [1.0] *)
 }
 
+(** The canonical record orders: field by field in declaration order,
+    with [String.compare], [Int.compare] and [Int64.compare] — equal to
+    polymorphic [compare] on these records, at a fraction of its cost. *)
+val compare_branch : branch -> branch -> int
+
+val compare_range : range -> range -> int
+val compare_sample : sample -> sample -> int
+
 val no_header : header
 (** All-defaults header: empty host/build-id, timestamp 0, weight 1. *)
 

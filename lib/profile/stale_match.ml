@@ -69,6 +69,12 @@ let add_stats a b =
     st_records_kept = a.st_records_kept + b.st_records_kept;
   }
 
+(* The fleet-level breakdown of per-shard recoveries; [None] when no
+   shard was recovered. *)
+let sum_stats = function
+  | [] -> None
+  | st :: rest -> Some (List.fold_left add_stats st rest)
+
 (* Share of profiled functions whose data survived in some form. *)
 let recovery_rate st =
   if st.st_funcs = 0 then 1.0

@@ -20,12 +20,21 @@
      under a global byte budget, evictions counted and their event
      mass tracked.
 
-   Assessment reuses the fleet layer unchanged: [Merge.recover_stale_each]
-   re-keys stale shards against the current target (stale recovery is
-   always armed when the target carries fingerprints), [Merge.merge]
-   folds the retained per-host profiles, [Monitor.observe] turns the
-   round into a health tick, and a trigger decision is taken on the
-   tick's [Quality.assess] output. *)
+   Assessment costs what changed, not the fleet.  The sketch marks a
+   host dirty when ingest, supersession or eviction touches it; the
+   service keeps one entry per host — the host's shard recovered
+   against the current target ([Merge.recover_shard]; stale recovery is
+   always armed when the target carries fingerprints) plus its
+   [Quality.summary] — and rebuilds only the dirty hosts' entries,
+   applying each change as a delta to the fleet-wide counts of a
+   [Quality.view].  The quality report and the [Monitor] tick read that
+   view ([Monitor.observe_view]); a trigger decision is taken on the
+   tick's report.  A rewrite replaces the target's build-id and
+   fingerprints, so the next step rebuilds every entry.  The merged
+   profile is materialized only when a trigger fires or [last_merged]
+   asks for it, by [Merge.merge] over the entries' recovered shards; the
+   report never reads scaled counts, so decay needs no incremental
+   form. *)
 
 module Fdata = Bolt_profile.Fdata
 module Json = Bolt_obs.Json
@@ -100,11 +109,25 @@ type reopt = {
   ro_profile : Fdata.t; (* the merged profile the rewrite consumed *)
 }
 
+(* One host's assessment input: its retained shard's slot in the fleet
+   view, and the shard as the merge sees it — recovered against the
+   current target, with its summary and recovery breakdown. *)
+type entry = {
+  e_slot : Quality.slot;
+  mutable e_recovered : Merge.loaded;
+  mutable e_merged_summary : Quality.summary;
+  mutable e_recovery : Stale_match.stats option;
+}
+
 type t = {
   cfg : config;
   obs : Obs.t;
   sketch : Sketch.t;
   monitor : Monitor.t;
+  view : Quality.view;
+  entries : (string, entry) Hashtbl.t;
+  mutable order : entry list; (* every entry, in sorted host order *)
+  mutable refresh_all : bool; (* the target changed: rebuild every entry *)
   start_time : int;
   mutable target : P.build option; (* None: track/trigger without rewriting *)
   mutable expected_build_id : string;
@@ -118,7 +141,7 @@ type t = {
   mutable first_trigger_step : int option; (* trigger latency in ticks *)
   mutable reopts : reopt list;
   mutable last_quality : Quality.report option;
-  mutable last_merged : Fdata.t option;
+  mutable merged : Fdata.t Lazy.t option; (* of the last assessment *)
 }
 
 let create ?obs ?(config = default_config) ?target ?expect_build_id
@@ -134,6 +157,10 @@ let create ?obs ?(config = default_config) ?target ?expect_build_id
     obs;
     sketch = Sketch.create ~obs ~topk:config.c_topk ~budget:config.c_budget ();
     monitor = Monitor.create ~thresholds:config.c_thresholds ();
+    view = Quality.create_view ();
+    entries = Hashtbl.create 64;
+    order = [];
+    refresh_all = false;
     start_time;
     target;
     expected_build_id = expected;
@@ -147,7 +174,7 @@ let create ?obs ?(config = default_config) ?target ?expect_build_id
     first_trigger_step = None;
     reopts = [];
     last_quality = None;
-    last_merged = None;
+    merged = None;
   }
 
 let target t = t.target
@@ -157,7 +184,7 @@ let steps t = t.steps
 let monitor t = t.monitor
 let sketch t = t.sketch
 let last_quality t = t.last_quality
-let last_merged t = t.last_merged
+let last_merged t = Option.map Lazy.force t.merged
 let first_trigger_step t = t.first_trigger_step
 
 let count_lines text =
@@ -188,16 +215,56 @@ type step_report = {
   sr_reoptimized : bool; (* a target was actually rewritten *)
 }
 
+(* Rebuild [host]'s entry from its current shard: recover it, and
+   apply the change to the fleet view as a delta.  True for a new
+   host. *)
+let refresh_entry t host =
+  let sh = Sketch.shard t.sketch host in
+  let recovered, recovery =
+    Merge.recover_shard ~fingerprints:t.fingerprints ~build_id:t.expected_build_id sh
+  in
+  let su = Quality.summarize sh in
+  let merged_summary = if recovered == sh then su else Quality.summarize recovered in
+  let e, added =
+    match Hashtbl.find_opt t.entries host with
+    | Some e -> (e, false)
+    | None ->
+        let e =
+          {
+            e_slot = Quality.new_slot ();
+            e_recovered = sh;
+            e_merged_summary = Quality.no_records;
+            e_recovery = None;
+          }
+        in
+        Hashtbl.add t.entries host e;
+        (e, true)
+  in
+  Quality.set_retained t.view e.e_slot su;
+  Quality.set_merged t.view ~before:e.e_merged_summary ~after:merged_summary;
+  e.e_recovered <- recovered;
+  e.e_merged_summary <- merged_summary;
+  e.e_recovery <- recovery;
+  added
+
 let assess t : Quality.report option =
-  let shards = Sketch.to_shards t.sketch in
-  if shards = [] then None
+  let dirty = Sketch.take_dirty t.sketch in
+  let dirty = if t.refresh_all then Sketch.host_names t.sketch else dirty in
+  t.refresh_all <- false;
+  let added = List.fold_left (fun added h -> refresh_entry t h || added) false dirty in
+  if added then
+    t.order <- List.map (Hashtbl.find t.entries) (Sketch.host_names t.sketch);
+  if t.order = [] then None
   else begin
-    (* staleness/provenance are judged on the shards as retained;
-       the merge consumes their recovered form *)
-    let recovered, recovery =
-      Merge.recover_stale_each ~fingerprints:t.fingerprints
-        ~build_id:t.expected_build_id shards
+    let recovery =
+      Stale_match.sum_stats (List.filter_map (fun e -> e.e_recovery) t.order)
     in
+    let tick =
+      Monitor.observe_view ~obs:t.obs t.monitor
+        ~expected_build_id:t.expected_build_id ?recovery t.view
+        (List.map (fun e -> (e.e_slot, e.e_recovery)) t.order)
+    in
+    (* the merge itself waits for a trigger or a [last_merged] call *)
     let opts =
       {
         Merge.default_options with
@@ -206,12 +273,8 @@ let assess t : Quality.report option =
           (if t.expected_build_id = "" then None else Some t.expected_build_id);
       }
     in
-    let merged = Merge.merge ~obs:t.obs ~opts recovered in
-    let tick =
-      Monitor.observe ~obs:t.obs t.monitor
-        ~expected_build_id:t.expected_build_id ~recovery shards ~merged
-    in
-    t.last_merged <- Some merged;
+    let recovered = List.map (fun e -> e.e_recovered) t.order in
+    t.merged <- Some (lazy (Merge.merge ~obs:t.obs ~opts recovered));
     let q = tick.Monitor.tk_quality in
     t.last_quality <- Some q;
     Obs.set t.obs "service.coverage_pct" q.Quality.q_coverage_pct;
@@ -253,7 +316,7 @@ let reoptimize t ~reason =
       ];
   let before = t.expected_build_id in
   let merged =
-    match t.last_merged with Some m -> m | None -> assert false
+    match last_merged t with Some m -> m | None -> assert false
   in
   (match t.target with
   | None -> () (* tracking-only mode: record the trigger, rewrite nothing *)
@@ -262,6 +325,7 @@ let reoptimize t ~reason =
       t.target <- Some b';
       t.expected_build_id <- P.build_id b';
       t.fingerprints <- P.fingerprints b';
+      t.refresh_all <- true;
       Obs.incr t.obs "service.reopts";
       Obs.event t.obs "service.reoptimize"
         ~attrs:

@@ -21,7 +21,12 @@
    [Fdata.Acc] as the lexer produces them, and per-shard record lists
    never materialize.  The accumulator knows nothing of the cost model:
    it reports which records opened a new key, and the sketch charges
-   those. *)
+   those.
+
+   Each host's materialized shard is cached until something changes
+   the host: ingest, supersession and eviction mark it dirty, which
+   drops the cache.  [take_dirty] hands the marks to the service, which
+   rebuilds only those hosts' entries in its fleet view. *)
 
 module Fdata = Bolt_profile.Fdata
 module Obs = Bolt_obs.Obs
@@ -37,6 +42,8 @@ type host_state = {
   mutable hs_acc : Fdata.Acc.t;
   hs_cost : (string, int ref) Hashtbl.t;
   mutable hs_bytes : int; (* sum of function costs + host base cost *)
+  mutable hs_shard : Bolt_fleet.Merge.loaded option;
+      (* the materialized shard; [None] once the host is dirty *)
 }
 
 type t = {
@@ -44,6 +51,7 @@ type t = {
   budget : int; (* global byte budget over all hosts' entries *)
   obs : Obs.t;
   hosts : (string, host_state) Hashtbl.t;
+  dirty : (string, unit) Hashtbl.t; (* hosts changed since [take_dirty] *)
   mutable occupancy : int; (* current cost-model bytes *)
   mutable peak : int; (* high-water mark, sampled after each ingest *)
   mutable evictions : int;
@@ -70,6 +78,7 @@ let create ?obs ~topk ~budget () =
     budget = max 1 budget;
     obs;
     hosts = Hashtbl.create 64;
+    dirty = Hashtbl.create 64;
     occupancy = 0;
     peak = 0;
     evictions = 0;
@@ -79,7 +88,12 @@ let create ?obs ~topk ~budget () =
     malformed = 0;
   }
 
+let mark_dirty t (hs : host_state) =
+  hs.hs_shard <- None;
+  Hashtbl.replace t.dirty hs.hs_host ()
+
 let evict t (hs : host_state) func =
+  mark_dirty t hs;
   let bytes = !(Hashtbl.find hs.hs_cost func) in
   t.evicted_events <- Fdata.sat_add t.evicted_events (Fdata.Acc.events hs.hs_acc func);
   Fdata.Acc.remove hs.hs_acc func;
@@ -98,6 +112,15 @@ let candidates (hs : host_state) acc =
       ((Fdata.Acc.events hs.hs_acc func, hs.hs_host, func), hs) :: acc)
     hs.hs_cost acc
 
+(* The eviction order on (events, host, function) keys: [compare]'s
+   order, field by field. *)
+let compare_candidate ((e1, h1, f1) : int64 * string * string) (e2, h2, f2) =
+  let c = Int64.compare e1 e2 in
+  if c <> 0 then c
+  else
+    let c = String.compare h1 h2 in
+    if c <> 0 then c else String.compare f1 f2
+
 (* Evict [cands] in eviction order for as long as [cond] holds. *)
 let evict_while t cond cands =
   let rec go = function
@@ -106,7 +129,7 @@ let evict_while t cond cands =
         go rest
     | _ -> ()
   in
-  go (List.sort (fun (k1, _) (k2, _) -> compare k1 k2) cands)
+  go (List.sort (fun (k1, _) (k2, _) -> compare_candidate k1 k2) cands)
 
 let enforce_topk t (hs : host_state) =
   let over () = Hashtbl.length hs.hs_cost > t.topk in
@@ -154,12 +177,14 @@ let ingest t ~host (text : string) : ingested =
             hs_acc = Fdata.Acc.create ();
             hs_cost = Hashtbl.create 64;
             hs_bytes = host_base + String.length host;
+            hs_shard = None;
           }
         in
         Hashtbl.add t.hosts host hs;
         t.occupancy <- t.occupancy + hs.hs_bytes;
         hs
   in
+  mark_dirty t hs;
   let records = ref 0 in
   (* a new key costs [by] bytes; a function's first key also pays for
      the function's entry *)
@@ -228,11 +253,27 @@ let profile_of (hs : host_state) : Fdata.t =
   Fdata.Acc.to_profile ~lbr:hs.hs_lbr ~header:(Some hs.hs_header)
     ~fingerprints:hs.hs_fingerprints hs.hs_acc
 
-(* Every host's retained shard, in sorted host order — the merger input
-   for a service assessment step.  Canonical form regardless of the
-   order shards arrived in. *)
-let to_shards t : Bolt_fleet.Merge.loaded list =
-  Hashtbl.fold (fun _ hs acc -> hs :: acc) t.hosts []
-  |> List.sort (fun a b -> compare a.hs_host b.hs_host)
-  |> List.map (fun hs ->
-         Bolt_fleet.Merge.shard_of_profile ~name:hs.hs_host (profile_of hs))
+(* One host's retained state as a shard, materialized on first use
+   after the host last changed. *)
+let shard t host : Bolt_fleet.Merge.loaded =
+  let hs = Hashtbl.find t.hosts host in
+  match hs.hs_shard with
+  | Some sh -> sh
+  | None ->
+      let sh = Bolt_fleet.Merge.shard_of_profile ~name:host (profile_of hs) in
+      hs.hs_shard <- Some sh;
+      sh
+
+(* The hosts changed since the previous call, sorted; clears the marks. *)
+let take_dirty t : string list =
+  let hosts = Hashtbl.fold (fun h () acc -> h :: acc) t.dirty [] in
+  Hashtbl.reset t.dirty;
+  List.sort String.compare hosts
+
+(* Every tracked host, sorted. *)
+let host_names t : string list =
+  Hashtbl.fold (fun h _ acc -> h :: acc) t.hosts [] |> List.sort String.compare
+
+(* Every host's retained shard, in sorted host order.  Canonical form
+   regardless of the order shards arrived in. *)
+let to_shards t : Bolt_fleet.Merge.loaded list = List.map (shard t) (host_names t)

@@ -430,8 +430,47 @@ let test_merged_beats_any_single () =
           merged single)
     singles
 
+(* The typed canonical orders against polymorphic [compare], over
+   fields drawn from small pools so equal prefixes are common, with the
+   extremes and negative offsets in them. *)
+let prop_typed_orders =
+  let open QCheck.Gen in
+  let name = oneofl [ ""; "a"; "ab"; "b"; "main" ] in
+  let off = oneofl [ -7; -1; 0; 1; 4; max_int; min_int ] in
+  let count = oneofl [ 0L; 1L; 2L; Int64.max_int; Int64.min_int; -1L ] in
+  let branch =
+    name >>= fun ff ->
+    off >>= fun fo ->
+    name >>= fun tf ->
+    off >>= fun to_ ->
+    count >>= fun c -> map (fun m -> mk_branch ff fo tf to_ c m) count
+  in
+  let range =
+    name >>= fun f ->
+    off >>= fun s ->
+    off >>= fun e ->
+    map (fun c -> { Fdata.rg_func = f; rg_start = s; rg_end = e; rg_count = c }) count
+  in
+  let sample =
+    name >>= fun f ->
+    off >>= fun o -> map (fun c -> { Fdata.sm_func = f; sm_off = o; sm_count = c }) count
+  in
+  let candidate = triple count name name in
+  let gen =
+    quad (pair branch branch) (pair range range) (pair sample sample)
+      (pair candidate candidate)
+  in
+  QCheck.Test.make ~name:"typed record orders == compare" ~count:2_000 (QCheck.make gen)
+    (fun ((b1, b2), (r1, r2), (s1, s2), (c1, c2)) ->
+      let agree typed x y = Int.compare (typed x y) 0 = Int.compare (compare x y) 0 in
+      agree Fdata.compare_branch b1 b2
+      && agree Fdata.compare_range r1 r2
+      && agree Fdata.compare_sample s1 s2
+      && agree Bolt_service.Sketch.compare_candidate c1 c2)
+
 let suite =
   [
+    QCheck_alcotest.to_alcotest prop_typed_orders;
     QCheck_alcotest.to_alcotest prop_order_independent;
     QCheck_alcotest.to_alcotest prop_incremental_eq_batch;
     QCheck_alcotest.to_alcotest prop_weight_linear;

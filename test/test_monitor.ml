@@ -534,6 +534,44 @@ let test_alerts_order_invariant () =
       ("reversed j=4", List.rev shards, 4);
     ]
 
+(* The health table renders per-host history from a per-tick host
+   index; its bytes must equal the renderer that scanned every tick's
+   host list per host.  Three ticks over growing prefixes of a
+   1000-host tape (one reversed), so hosts missing from early ticks
+   show blanks.  The ticks themselves must equal the from-scratch
+   observation's. *)
+let test_pp_matches_oracle () =
+  let sc =
+    { FS.default_scale with FS.sc_hosts = 1_000; sc_funcs = 200; sc_lines = 20 }
+  in
+  let shards =
+    List.map
+      (fun (_, host, text) ->
+        Merge.shard_of_profile ~name:host (fst (Bolt_profile.Fdata.parse text)))
+      (FS.scale_tape sc)
+  in
+  let monitor = Monitor.create () and oracle = Monitor.create () in
+  List.iter
+    (fun (n, order) ->
+      let round = order (List.filteri (fun i _ -> i < n) shards) in
+      let merged =
+        Merge.merge
+          ~opts:{ Merge.default_options with Merge.expect_build_id = Some FS.scale_build_id }
+          round
+      in
+      let expected_build_id = FS.scale_build_id in
+      ignore (Monitor.observe monitor ~expected_build_id round ~merged);
+      ignore (Service_oracle.monitor_observe oracle ~expected_build_id round ~merged))
+    [ (250, Fun.id); (600, List.rev); (1_000, Fun.id) ];
+  let section m = Json.to_string (snd (Monitor.manifest_section m)) in
+  Alcotest.(check string) "ticks == from-scratch observation" (section oracle)
+    (section monitor);
+  let rendered = Fmt.str "%a" Monitor.pp monitor in
+  Alcotest.(check bool) "1000 host rows" true (contains rendered "mh00999.dc1");
+  Alcotest.(check string) "pp bytes == list-scan renderer"
+    (Fmt.str "%a" Service_oracle.monitor_pp monitor)
+    rendered
+
 let suite =
   [
     Alcotest.test_case "manifest meta stanza" `Quick test_meta_stanza;
@@ -560,4 +598,6 @@ let suite =
       test_unmatched_rules;
     Alcotest.test_case "monitor: 1000-host alerts invariant to order and -j"
       `Slow test_alerts_order_invariant;
+      Alcotest.test_case "monitor: health table bytes == list-scan renderer"
+      `Quick test_pp_matches_oracle;
   ]

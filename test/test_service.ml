@@ -3,8 +3,9 @@
    round trip of an unevicted shard), the byte parity of every merge
    engine (batch, streaming, sharded by function key), the trigger
    policy on scripted tapes, tape/spool parsing, injected-clock
-   manifest reproducibility, and the e2e
-   acceptance check — a 1000-host tape with drifting revisions must
+   manifest reproducibility, step-by-step parity of the incremental
+   assessment with the from-scratch one (test/service_oracle.ml), and
+   the e2e acceptance check — a 1000-host tape with drifting revisions must
    fire a re-optimization whose binary beats the pre-trigger build,
    byte-identically for any arrival order and any -j. *)
 
@@ -481,6 +482,153 @@ let test_e2e_thousand_hosts () =
   Alcotest.(check string) "service + health state identical" (state svc)
     (state svc')
 
+(* ------------------------------------------------------------------ *)
+(* Step-by-step parity with the from-scratch assessment               *)
+
+module Quality = Bolt_fleet.Quality
+module O = Service_oracle
+
+(* [Service.run]'s steps: events sharing an arrival time, in time order. *)
+let waves (tape : S.event list) =
+  List.fold_left
+    (fun acc (ev : S.event) ->
+      match acc with
+      | (t, evs) :: rest when t = ev.S.ev_time -> (t, ev :: evs) :: rest
+      | _ -> (ev.S.ev_time, [ ev ]) :: acc)
+    [] (List.sort S.compare_event tape)
+  |> List.rev_map (fun (_, evs) -> List.rev evs)
+
+(* The same waves arriving last-first, each re-timed to the slot its
+   forward counterpart had, so the clock still runs forward. *)
+let reversed ws =
+  List.map2
+    (fun fwd w ->
+      let t = (List.hd fwd).S.ev_time in
+      List.map (fun ev -> { ev with S.ev_time = t }) w)
+    ws (List.rev ws)
+
+let report = Alcotest.testable Quality.pp ( = )
+let bytes = Option.fold ~none:"<none>" ~some:Fdata.to_string
+let health m = Json.to_string (snd (Monitor.manifest_section m))
+
+(* Drive the service and the oracle through [ws] side by side; at every
+   step the report, the trigger decision, the health section and the
+   merged bytes (and the trigger profile, when one fired) must agree.
+   Returns the service. *)
+let check_parity label ?target ?expect_build_id config ws =
+  let start_time = FS.base_timestamp in
+  let svc = S.create ~config ?target ?expect_build_id ~start_time () in
+  let o = O.create ~config ?target ?expect_build_id ~start_time () in
+  List.iteri
+    (fun i evs ->
+      let at what = Printf.sprintf "%s, step %d: %s" label (i + 1) what in
+      let r = S.step svc evs in
+      let q, trigger = O.step o evs in
+      Alcotest.(check (option report)) (at "quality report") q r.S.sr_quality;
+      Alcotest.(check (option string)) (at "trigger") trigger r.S.sr_trigger;
+      Alcotest.(check string) (at "health section") (health o.O.monitor)
+        (health (S.monitor svc));
+      Alcotest.(check string) (at "merged bytes") (bytes o.O.last_merged)
+        (bytes (S.last_merged svc));
+      if trigger <> None then begin
+        let latest = List.hd (List.rev (S.reopts svc)) in
+        Alcotest.(check string) (at "trigger profile") (bytes o.O.last_merged)
+          (Fdata.to_string latest.S.ro_profile)
+      end)
+    ws;
+  svc
+
+let parity_scale =
+  { FS.default_scale with FS.sc_hosts = 96; sc_funcs = 300; sc_lines = 120; sc_wave = 8 }
+
+(* A sketch tight enough that most steps evict, and a trigger that fires
+   repeatedly once a quarter of the fleet has reported. *)
+let parity_config =
+  {
+    S.default_config with
+    S.c_topk = 24;
+    c_budget = 48 * 1024;
+    c_trigger =
+      {
+        S.default_trigger with
+        S.tr_min_hosts = 24;
+        tr_min_coverage_pct = 2.0;
+        tr_max_staleness_pct = 60.0;
+      };
+  }
+
+let both_directions label ?target ?expect_build_id config ws =
+  List.map
+    (fun (dir, ws) -> check_parity (label ^ " " ^ dir) ?target ?expect_build_id config ws)
+    [ ("forward", ws); ("reversed", reversed ws) ]
+
+let test_parity_evicting () =
+  let ws = waves (tape_of_scale parity_scale) in
+  List.iter
+    (fun svc ->
+      let evictions = Sk.evictions (S.sketch svc) in
+      Alcotest.(check bool) "the sketch evicted" true (evictions > 0);
+      Alcotest.(check bool) "some re-optimization triggered" true (S.reopts svc <> []))
+    (both_directions "evicting" ~expect_build_id:FS.scale_build_id parity_config ws)
+
+(* Shard header weights other than 1 and age decay: scales reach the
+   merge, never the report. *)
+let test_parity_decay_weights () =
+  let weigh i (ev : S.event) =
+    let w = [| "0.5"; "2.5"; "1" |].(i mod 3) in
+    { ev with S.ev_text = "H weight " ^ w ^ "\n" ^ ev.S.ev_text }
+  in
+  let tape = List.mapi weigh (tape_of_scale parity_scale) in
+  let weight (ev : S.event) =
+    (Option.get (fst (Fdata.scan ev.S.ev_text)).Fdata.header).Fdata.hd_weight
+  in
+  Alcotest.(check (list (float 0.0))) "header weights parse" [ 0.5; 2.5; 1.0 ]
+    (List.map weight (List.filteri (fun i _ -> i < 3) tape));
+  let ws = waves tape in
+  ignore
+    (both_directions "decay+weights" ~expect_build_id:FS.scale_build_id
+       { parity_config with S.c_decay = Some 1e-5 }
+       ws)
+
+(* A drifting fleet with a real target: each re-optimization replaces
+   the build-id and fingerprints mid-run, so every host's recovery is
+   redone against the new revision. *)
+let test_parity_reoptimized_target () =
+  let r = FS.run e2e_fleet_cfg in
+  let base = Array.of_list r.FS.fr_shards in
+  let tape =
+    List.init 20 (fun i ->
+        let _, prof = base.(i mod Array.length base) in
+        let name = Printf.sprintf "d%03d.dc1" i in
+        let header = Option.map (fun h -> { h with Fdata.hd_host = name }) prof.Fdata.header in
+        {
+          S.ev_time = FS.base_timestamp + (i / 4 * FS.tick_interval);
+          ev_host = name;
+          ev_text = Fdata.to_string { prof with Fdata.header };
+        })
+  in
+  let config =
+    {
+      parity_config with
+      S.c_topk = 64;
+      c_budget = 1 lsl 20;
+      c_trigger =
+        {
+          S.default_trigger with
+          S.tr_min_hosts = 8;
+          tr_min_coverage_pct = 5.0;
+          tr_max_staleness_pct = 60.0;
+          tr_min_recovery_rate = 0.0;
+          tr_max_interval = 2 * FS.tick_interval;
+        };
+    }
+  in
+  List.iter
+    (fun svc ->
+      Alcotest.(check bool) "re-optimized more than once" true
+        (List.length (S.reopts svc) >= 2))
+    (both_directions "drifting" ~target:r.FS.fr_build config (waves tape))
+
 let suite =
   [
     Alcotest.test_case "sketch: top-K eviction order and accounting" `Quick
@@ -505,4 +653,10 @@ let suite =
       test_manifest_reproducible;
     Alcotest.test_case "e2e: 1000-host tape triggers a winning re-opt" `Slow
       test_e2e_thousand_hosts;
+    Alcotest.test_case "parity: evicting sketch, forward and reversed" `Quick
+      test_parity_evicting;
+    Alcotest.test_case "parity: decay and shard weights" `Quick
+      test_parity_decay_weights;
+    Alcotest.test_case "parity: re-optimized target changes fingerprints" `Quick
+      test_parity_reoptimized_target;
   ]
