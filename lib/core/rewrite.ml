@@ -314,17 +314,12 @@ let run ctx : result =
           | Abs32 | Abs64 -> s + addend
           | Rel32 | Rel8 -> s + addend - (p.p_addr + off + rel_end)
         in
-        let fo = base_off + off in
-        match kind with
-        | Abs64 -> Bytes.set_int64_le text fo (Int64.of_int v)
-        | Abs32 | Rel32 -> Bytes.set_int32_le text fo (Int32.of_int v)
-        | Rel8 ->
-            if not (Bolt_isa.Codec.fits_i8 v) then
-              raise
-                (Frag_error
-                   ( p.p_frag.Emit.fr_func,
-                     Printf.sprintf "rel8 overflow in %s" p.p_frag.Emit.fr_name ));
-            Bytes.set text fo (Char.chr (v land 0xff)))
+        if not (write_reloc_field text (base_off + off) kind v) then
+          raise
+            (Frag_error
+               ( p.p_frag.Emit.fr_func,
+                 Printf.sprintf "%s overflow in %s" (reloc_kind_name kind)
+                   p.p_frag.Emit.fr_name )))
       out.Bolt_asm.Asm.fo_relocs
   in
 

@@ -152,55 +152,60 @@ let fingerprint_fn ~data ~base ~size ~name ~resolve : func =
   in
   let calls = ref [] in
   let func_oh = ref hash_empty in
-  let blocks =
-    Array.to_list
-      (Array.mapi
-         (fun k start ->
-           let stop = block_end k in
-           let oh = ref hash_empty in
-           let last = ref None in
-           Array.iter
-             (fun (off, sz, i) ->
-               if off >= start && off < stop then begin
-                 oh := mix !oh (op_kind i);
-                 func_oh := mix !func_oh (op_kind i);
-                 last := Some (off, sz, i);
-                 match i with
-                 | Insn.Call (Insn.Imm rel) -> (
-                     match resolve (off + sz + rel) with
-                     | Some callee -> calls := callee :: !calls
-                     | None -> ())
-                 | _ -> ()
-               end)
-             insns;
-           (* shape: terminator class + successor positions relative to
-              this block, so inserting a block shifts only its
-              neighbourhood *)
-           let sh = ref hash_empty in
-           (match !last with
-           | None -> ()
-           | Some (off, sz, i) ->
-               sh := mix !sh (term_class i);
-               let next = off + sz in
-               let succ o =
-                 match index_of_start o with
-                 | Some j -> sh := mix !sh (j - k + 1024)
-                 | None -> sh := mix !sh 2048 (* leaves the function *)
-               in
-               (match i with
-               | Insn.Jmp (Insn.Imm rel, _) -> succ (next + rel)
-               | Insn.Jcc (_, Insn.Imm rel, _) ->
-                   succ (next + rel);
-                   if in_func next then succ next
-               | _ -> if (not (Insn.is_terminator i)) && in_func next then succ next));
-           {
-             bk_off = start;
-             bk_size = stop - start;
-             bk_opcode_hash = !oh;
-             bk_shape_hash = !sh;
-           })
-         starts_arr)
-  in
+  (* The blocks partition [0, size) in offset order and every decoded
+     instruction starts inside it, so one cursor hands each block its
+     instructions. *)
+  let cursor = ref 0 in
+  let off_at c = let off, _, _ = insns.(c) in off in
+  let blocks = ref [] in
+  Array.iteri
+    (fun k start ->
+      let stop = block_end k in
+      let oh = ref hash_empty in
+      let last = ref None in
+      while !cursor < n && off_at !cursor < stop do
+        let (off, sz, i) as insn = insns.(!cursor) in
+        incr cursor;
+        oh := mix !oh (op_kind i);
+        func_oh := mix !func_oh (op_kind i);
+        last := Some insn;
+        match i with
+        | Insn.Call (Insn.Imm rel) -> (
+            match resolve (off + sz + rel) with
+            | Some callee -> calls := callee :: !calls
+            | None -> ())
+        | _ -> ()
+      done;
+      (* shape: terminator class + successor positions relative to
+         this block, so inserting a block shifts only its
+         neighbourhood *)
+      let sh = ref hash_empty in
+      (match !last with
+      | None -> ()
+      | Some (off, sz, i) ->
+          sh := mix !sh (term_class i);
+          let next = off + sz in
+          let succ o =
+            match index_of_start o with
+            | Some j -> sh := mix !sh (j - k + 1024)
+            | None -> sh := mix !sh 2048 (* leaves the function *)
+          in
+          (match i with
+          | Insn.Jmp (Insn.Imm rel, _) -> succ (next + rel)
+          | Insn.Jcc (_, Insn.Imm rel, _) ->
+              succ (next + rel);
+              if in_func next then succ next
+          | _ -> if (not (Insn.is_terminator i)) && in_func next then succ next));
+      blocks :=
+        {
+          bk_off = start;
+          bk_size = stop - start;
+          bk_opcode_hash = !oh;
+          bk_shape_hash = !sh;
+        }
+        :: !blocks)
+    starts_arr;
+  let blocks = List.rev !blocks in
   let cfg =
     List.fold_left
       (fun h b -> mix h b.bk_shape_hash)
@@ -220,6 +225,31 @@ let fingerprint_fn ~data ~base ~size ~name ~resolve : func =
     fp_blocks = blocks;
   }
 
+(* Direct-call resolution over [funcs] sorted by (address, name): the
+   first function in that order whose range holds [addr], or [None].
+   [reach.(i)] is the largest range end among [funcs.(0..i)], so the
+   first index whose reach passes [addr] is the first range ending past
+   it; that range holds [addr] exactly when it starts at or before it,
+   and when it does not, every later one starts past [addr] too.  Aliases
+   at one address resolve to the first name, as a linear scan would. *)
+let resolver (funcs : symbol array) : int -> string option =
+  let n = Array.length funcs in
+  let reach = Array.make n min_int in
+  Array.iteri
+    (fun i f ->
+      let hi = f.sym_value + f.sym_size in
+      reach.(i) <- (if i = 0 then hi else max hi reach.(i - 1)))
+    funcs;
+  fun addr ->
+    (* first i with reach.(i) > addr *)
+    let lo = ref 0 and hi = ref n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if reach.(mid) > addr then hi := mid else lo := mid + 1
+    done;
+    if !lo < n && funcs.(!lo).sym_value <= addr then Some funcs.(!lo).sym_name
+    else None
+
 (* Fingerprint every function symbol that lies inside a text section.
    Only sections and symbols are consulted, so the computation commutes
    with build-id stamping. *)
@@ -229,14 +259,7 @@ let compute ~(sections : section list) ~(symbols : symbol list) : t =
     List.filter (fun s -> s.sym_kind = Func && s.sym_size > 0) symbols
     |> List.sort (fun a b -> compare (a.sym_value, a.sym_name) (b.sym_value, b.sym_name))
   in
-  (* address -> function name, for direct-call resolution *)
-  let resolve_in sym addr =
-    List.find_opt
-      (fun f -> addr >= f.sym_value && addr < f.sym_value + f.sym_size)
-      funcs
-    |> Option.map (fun f -> f.sym_name)
-    |> fun r -> ignore sym; r
-  in
+  let resolve = resolver (Array.of_list funcs) in
   List.filter_map
     (fun sym ->
       match
@@ -254,7 +277,7 @@ let compute ~(sections : section list) ~(symbols : symbol list) : t =
             Some
               (fingerprint_fn ~data:sec.sec_data ~base ~size:sym.sym_size
                  ~name:sym.sym_name
-                 ~resolve:(fun off -> resolve_in sym (sec.sec_addr + base + off))))
+                 ~resolve:(fun off -> resolve (sec.sec_addr + base + off))))
     funcs
 
 (* ---- BELF serialization (v5 payload) ---- *)

@@ -60,6 +60,30 @@ let reloc_kind_of_code = function
   | 3 -> Rel8
   | n -> raise (Buf.Corrupt (Printf.sprintf "reloc kind %d" n))
 
+let reloc_kind_name = function
+  | Abs32 -> "abs32"
+  | Abs64 -> "abs64"
+  | Rel32 -> "rel32"
+  | Rel8 -> "rel8"
+
+(* Writes a resolved relocation value into its field, little-endian.
+   The 32- and 8-bit fields are signed; a value that does not fit is not
+   written (a wrapped field would point somewhere else entirely) and the
+   result is [false]. *)
+let write_reloc_field bytes off kind v =
+  match kind with
+  | Abs64 ->
+      Bytes.set_int64_le bytes off (Int64.of_int v);
+      true
+  | Abs32 | Rel32 ->
+      Bolt_isa.Codec.fits_i32 v
+      && (Bytes.set_int32_le bytes off (Int32.of_int v);
+          true)
+  | Rel8 ->
+      Bolt_isa.Codec.fits_i8 v
+      && (Bytes.set_int8 bytes off v;
+          true)
+
 type reloc = {
   rel_section : string; (* section whose bytes are patched *)
   rel_offset : int; (* offset of the patched field within that section *)

@@ -454,6 +454,127 @@ let test_fleet_recovery () =
   let opt = P.run b' ~input:r.FS.fr_fleet_input in
   Alcotest.(check bool) "same behaviour" true (P.same_behaviour base opt)
 
+(* ------------------------------------------------------------------ *)
+(* Fingerprint parity with the pre-cursor oracle                      *)
+
+module Types = Bolt_obj.Types
+module Insn = Bolt_isa.Insn
+module Codec = Bolt_isa.Codec
+module Oracle = Fingerprint_oracle
+
+let sort_funcs =
+  List.sort (fun (a : Types.symbol) b ->
+      compare (a.sym_value, a.sym_name) (b.sym_value, b.sym_name))
+
+let func_sym ?(kind = Types.Func) name value size =
+  { Types.sym_name = name; sym_kind = kind; sym_bind = Types.Global; sym_section = ".text";
+    sym_value = value; sym_size = size }
+
+(* Symbol tables over a small address range with a small name pool:
+   aliases at one address, zero-size symbols, adjacent, nested and
+   overlapping ranges all occur often. *)
+let gen_table =
+  let open QCheck.Gen in
+  let sym =
+    map3
+      (fun n v sz -> func_sym (Printf.sprintf "f%d" n) v sz)
+      (int_range 0 5) (int_range 0 48) (frequency [ (1, return 0); (5, int_range 1 20) ])
+  in
+  list_size (int_range 0 12) sym
+
+let print_table t =
+  String.concat " "
+    (List.map (fun (s : Types.symbol) -> Printf.sprintf "%s@%d+%d" s.sym_name s.sym_value s.sym_size) t)
+
+(* Every address from before the first function to past the last,
+   through the gaps, resolves as the linear scan resolves it. *)
+let prop_resolver_eq_scan =
+  QCheck.Test.make ~count:500 ~name:"call resolution == List.find_opt scan"
+    (QCheck.make ~print:print_table gen_table)
+    (fun t ->
+      let funcs = sort_funcs t in
+      let resolve = F.resolver (Array.of_list funcs) in
+      List.for_all
+        (fun addr -> resolve addr = Oracle.resolve_scan funcs addr)
+        (List.init 80 (fun a -> a - 8)))
+
+(* Text bytes: mostly well-formed code (branches and calls with small
+   displacements that land inside, between and outside functions), with
+   raw bytes mixed in and an optional undecodable tail. *)
+let gen_text =
+  let open QCheck.Gen in
+  let insn =
+    frequency
+      [
+        (3, map (fun n -> Insn.Nop n) (int_range 1 6));
+        (2, map (fun k -> Insn.Alu_ri (Insn.Add, Bolt_isa.Reg.r1, Insn.Imm k)) (int_range 0 9));
+        (2, return Insn.Ret);
+        (1, return Insn.Halt);
+        (1, return (Insn.Jmp_ind Bolt_isa.Reg.r2));
+        (2, map (fun r -> Insn.Jmp (Insn.Imm r, Insn.W8)) (int_range (-24) 24));
+        (2, map (fun r -> Insn.Jcc (Bolt_isa.Cond.Gt, Insn.Imm r, Insn.W8)) (int_range (-24) 24));
+        (1, map (fun r -> Insn.Jcc (Bolt_isa.Cond.Eq, Insn.Imm r, Insn.W32)) (int_range (-200) 200));
+        (3, map (fun r -> Insn.Call (Insn.Imm r)) (int_range (-260) 260));
+      ]
+  in
+  let chunk =
+    frequency
+      [ (8, map Codec.encode insn); (1, map (fun c -> Bytes.make 1 (Char.chr c)) (int_range 0 255)) ]
+  in
+  map2
+    (fun chunks tail -> Bytes.concat Bytes.empty (chunks @ [ Bytes.of_string tail ]))
+    (list_size (int_range 0 60) chunk)
+    (string_size ~gen:(map Char.chr (int_range 0 255)) (int_range 0 6))
+
+(* Function symbols over the text (some past its end, some not
+   functions) plus the text section itself. *)
+let gen_binary =
+  let open QCheck.Gen in
+  gen_text >>= fun text ->
+  let len = Bytes.length text in
+  let sym =
+    map4
+      (fun n v sz obj ->
+        func_sym ~kind:(if obj then Types.Object else Types.Func) (Printf.sprintf "f%d" n)
+          (Bolt_obj.Layout.text_base + v) sz)
+      (int_range 0 7) (int_range 0 (len + 4)) (int_range 0 (max 1 (len / 2))) (map (fun k -> k = 0) (int_range 0 9))
+  in
+  list_size (int_range 0 10) sym >|= fun syms ->
+  ( [ { Types.sec_name = ".text"; sec_kind = Types.Text; sec_addr = Bolt_obj.Layout.text_base;
+        sec_data = text; sec_size = len } ],
+    syms )
+
+let prop_compute_eq_oracle =
+  QCheck.Test.make ~count:500 ~name:"Fingerprint.compute == pre-cursor oracle"
+    (QCheck.make
+       ~print:(fun (secs, syms) ->
+         Printf.sprintf "text %S; %s"
+           (Bytes.to_string (List.hd secs).Types.sec_data) (print_table syms))
+       gen_binary)
+    (fun (sections, symbols) ->
+      F.compute ~sections ~symbols = Oracle.compute ~sections ~symbols)
+
+let check_compute what (exe : Objfile.t) =
+  let sections = exe.Objfile.sections and symbols = exe.Objfile.symbols in
+  let fps = F.compute ~sections ~symbols in
+  Alcotest.(check bool) (what ^ ": fingerprints computed") true (List.length fps > 1000);
+  Alcotest.(check bool) (what ^ ": equal to the oracle") true
+    (fps = Oracle.compute ~sections ~symbols);
+  Alcotest.(check bool) (what ^ ": equal to the stamped table") true (fps = exe.Objfile.fingerprints)
+
+(* The perfbench [hhvm] program (LTO) and [clang] compiler (PGO+LTO,
+   trained on the seed-1 training input). *)
+let test_compute_workloads () =
+  check_compute "hhvm" (Builds.build "hhvm" "lto" Builds.lto).Driver.exe;
+  let w = Builds.workload "clang" in
+  let edges =
+    P.pgo_profile ~externals:w.Gen.externals ~extra_objs:w.Gen.extra_objs ~cc:Builds.lto
+      w.Gen.sources
+      ~input:(Workloads.token_input ~seed:101 ~n:1_500 ~mix:50)
+  in
+  check_compute "clang"
+    (Builds.build "clang" "pgo-lto" { Builds.lto with Driver.pgo = Driver.Apply edges }).Driver.exe
+
 let suite =
   [
     Alcotest.test_case "exact-rename" `Quick test_exact_rename;
@@ -469,4 +590,7 @@ let suite =
     Alcotest.test_case "match-profile-boundaries" `Quick test_match_boundaries;
     Alcotest.test_case "recovery-e2e-70pct" `Slow test_recovery_e2e;
     Alcotest.test_case "fleet-recovery" `Slow test_fleet_recovery;
+    QCheck_alcotest.to_alcotest prop_resolver_eq_scan;
+    QCheck_alcotest.to_alcotest prop_compute_eq_oracle;
+    Alcotest.test_case "fingerprint-parity-workloads" `Slow test_compute_workloads;
   ]
