@@ -33,8 +33,6 @@ let decode_function (text : Types.section) ~addr ~size =
         insns := { r_off = !pos; r_insn = i; r_size = sz } :: !insns;
         pos := !pos + sz
     | exception Codec.Decode_error _ -> ok := false
-    (* an instruction straddling the section end reads past the buffer *)
-    | exception Invalid_argument _ -> ok := false
   done;
   if !ok then Some (List.rev !insns) else None
 

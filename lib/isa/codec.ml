@@ -35,12 +35,6 @@ let put_i32 b pos v =
 
 let put_i64 b pos v = Bytes.set_int64_le b pos (Int64.of_int v)
 
-let get8 b pos = Char.code (Bytes.get b pos)
-
-let get_i8 b pos =
-  let v = get8 b pos in
-  if v >= 128 then v - 256 else v
-
 let get_i32 b pos = Int32.to_int (Bytes.get_int32_le b pos)
 
 let get_i64 b pos = Int64.to_int (Bytes.get_int64_le b pos)
@@ -157,49 +151,76 @@ let encode i =
   ignore (encode_into b 0 i);
   b
 
-(* Decode the instruction at [pos]; returns it with its encoded size. *)
-let decode b pos =
-  let opc = get8 b pos in
-  let reg1 () = Reg.of_int (get8 b (pos + 1) land 0x0f) in
-  let pair () =
-    let v = get8 b (pos + 1) in
-    (Reg.of_int (v lsr 4), Reg.of_int (v land 0x0f))
+(* The byte after the opcode at [pos]. *)
+let byte1 b pos =
+  if pos + 1 >= Bytes.length b then raise (Decode_error pos);
+  Char.code (Bytes.unsafe_get b (pos + 1))
+
+(* The encoded size of the instruction at [pos], without building it.
+   This is where an encoding is checked: a known opcode, a nop length in
+   2..15, a setcc condition in 0..5, and every byte inside [b].  Raises
+   [Decode_error pos] otherwise. *)
+let length b pos =
+  if pos < 0 || pos >= Bytes.length b then raise (Decode_error pos);
+  let n =
+    match Char.code (Bytes.unsafe_get b pos) with
+    | 0x01 | 0x02 | 0x04 | 0x62 -> 1
+    | 0x03 ->
+        let k = byte1 b pos in
+        if k < 2 || k > 15 then raise (Decode_error pos);
+        k
+    | 0x57 ->
+        if byte1 b pos lsr 4 > 5 then raise (Decode_error pos);
+        2
+    | 0x05 | 0x06 | 0x07 | 0x08 | 0x30 | 0x51 | 0x53 | 0x60 | 0x61 -> 2
+    | op when (op >= 0x10 && op <= 0x1B) || (op >= 0x40 && op <= 0x45) -> 2
+    | 0x31 | 0x50 -> 5
+    | 0x0A | 0x0B | 0x0C | 0x0D | 0x0E | 0x0F | 0x52 | 0x54 | 0x56 -> 6
+    | op when (op >= 0x20 && op <= 0x2B) || (op >= 0x48 && op <= 0x4D) -> 6
+    | 0x09 -> 10
+    | _ -> raise (Decode_error pos)
   in
+  if pos + n > Bytes.length b then raise (Decode_error pos);
+  n
+
+(* Field readers for [decode], which has checked the whole encoding with
+   [length] first. *)
+let get8 b pos = Char.code (Bytes.unsafe_get b pos)
+
+let get_i8 b pos =
+  let v = get8 b pos in
+  if v >= 128 then v - 256 else v
+
+let reg_lo b pos = Reg.of_int (get8 b (pos + 1) land 0x0f)
+let reg_hi b pos = Reg.of_int (get8 b (pos + 1) lsr 4)
+
+(* Decode the instruction at [pos]; returns it with its encoded size.
+   Raises [Decode_error pos] where [length] does. *)
+let decode b pos =
+  let n = length b pos in
   let i =
-    match opc with
+    match get8 b pos with
     | 0x01 -> Halt
     | 0x02 -> Nop 1
-    | 0x03 ->
-        let k = get8 b (pos + 1) in
-        if k < 2 || k > 15 then raise (Decode_error pos);
-        Nop k
+    | 0x03 -> Nop n
     | 0x04 -> Ret
     | 0x05 -> Repz_ret
-    | 0x06 -> Push (reg1 ())
-    | 0x07 -> Pop (reg1 ())
-    | 0x08 ->
-        let d, s = pair () in
-        Mov_rr (d, s)
-    | 0x09 -> Mov_ri (reg1 (), Imm (get_i64 b (pos + 2)), I64)
-    | 0x0A -> Mov_ri (reg1 (), Imm (get_i32 b (pos + 2)), I32)
-    | 0x0B ->
-        let d, base = pair () in
-        Load (d, base, get_i32 b (pos + 2))
-    | 0x0C ->
-        let s, base = pair () in
-        Store (base, get_i32 b (pos + 2), s)
-    | 0x0D -> Load_abs (reg1 (), Imm (get_i32 b (pos + 2)))
-    | 0x0E -> Store_abs (Imm (get_i32 b (pos + 2)), reg1 ())
-    | 0x0F -> Lea (reg1 (), Imm (get_i32 b (pos + 2)))
-    | 0x56 -> Lea_rel (reg1 (), Imm (get_i32 b (pos + 2)))
+    | 0x06 -> Push (reg_lo b pos)
+    | 0x07 -> Pop (reg_lo b pos)
+    | 0x08 -> Mov_rr (reg_hi b pos, reg_lo b pos)
+    | 0x09 -> Mov_ri (reg_lo b pos, Imm (get_i64 b (pos + 2)), I64)
+    | 0x0A -> Mov_ri (reg_lo b pos, Imm (get_i32 b (pos + 2)), I32)
+    | 0x0B -> Load (reg_hi b pos, reg_lo b pos, get_i32 b (pos + 2))
+    | 0x0C -> Store (reg_lo b pos, get_i32 b (pos + 2), reg_hi b pos)
+    | 0x0D -> Load_abs (reg_lo b pos, Imm (get_i32 b (pos + 2)))
+    | 0x0E -> Store_abs (Imm (get_i32 b (pos + 2)), reg_lo b pos)
+    | 0x0F -> Lea (reg_lo b pos, Imm (get_i32 b (pos + 2)))
+    | 0x56 -> Lea_rel (reg_lo b pos, Imm (get_i32 b (pos + 2)))
     | op when op >= 0x10 && op <= 0x1B ->
-        let d, s = pair () in
-        Alu_rr (alu_of_code (op - 0x10), d, s)
-    | 0x57 ->
-        let v = get8 b (pos + 1) in
-        Setcc (Cond.of_int (v lsr 4), Reg.of_int (v land 0x0f))
+        Alu_rr (alu_of_code (op - 0x10), reg_hi b pos, reg_lo b pos)
+    | 0x57 -> Setcc (Cond.of_int (get8 b (pos + 1) lsr 4), reg_lo b pos)
     | op when op >= 0x20 && op <= 0x2B ->
-        Alu_ri (alu_of_code (op - 0x20), reg1 (), Imm (get_i32 b (pos + 2)))
+        Alu_ri (alu_of_code (op - 0x20), reg_lo b pos, Imm (get_i32 b (pos + 2)))
     | 0x30 -> Jmp (Imm (get_i8 b (pos + 1)), W8)
     | 0x31 -> Jmp (Imm (get_i32 b (pos + 1)), W32)
     | op when op >= 0x40 && op <= 0x45 ->
@@ -207,16 +228,16 @@ let decode b pos =
     | op when op >= 0x48 && op <= 0x4D ->
         Jcc (Cond.of_int (op - 0x48), Imm (get_i32 b (pos + 2)), W32)
     | 0x50 -> Call (Imm (get_i32 b (pos + 1)))
-    | 0x51 -> Call_ind (reg1 ())
+    | 0x51 -> Call_ind (reg_lo b pos)
     | 0x52 -> Call_mem (Imm (get_i32 b (pos + 2)))
-    | 0x53 -> Jmp_ind (reg1 ())
+    | 0x53 -> Jmp_ind (reg_lo b pos)
     | 0x54 -> Jmp_mem (Imm (get_i32 b (pos + 2)))
-    | 0x60 -> In_ (reg1 ())
-    | 0x61 -> Out (reg1 ())
+    | 0x60 -> In_ (reg_lo b pos)
+    | 0x61 -> Out (reg_lo b pos)
     | 0x62 -> Throw
     | _ -> raise (Decode_error pos)
   in
-  (i, size i)
+  (i, n)
 
 (* Location of the immediate operand inside the encoding, with its width in
    bytes and its addressing kind.  Relocation plumbing in the assembler and

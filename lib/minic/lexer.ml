@@ -19,11 +19,15 @@ type t = {
 exception Lex_error of string * int (* message, line *)
 
 let keywords =
-  [
-    "fn"; "var"; "if"; "else"; "while"; "switch"; "case"; "default"; "return";
-    "extern"; "global"; "array"; "const"; "out"; "in"; "throw"; "try"; "catch";
-    "break"; "continue"; "inline";
-  ]
+  let t = Hashtbl.create 32 in
+  List.iter
+    (fun k -> Hashtbl.replace t k ())
+    [
+      "fn"; "var"; "if"; "else"; "while"; "switch"; "case"; "default"; "return";
+      "extern"; "global"; "array"; "const"; "out"; "in"; "throw"; "try"; "catch";
+      "break"; "continue"; "inline";
+    ];
+  t
 
 let is_digit c = c >= '0' && c <= '9'
 let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
@@ -47,7 +51,43 @@ let rec skip_ws lx =
         skip_ws lx
     | _ -> ()
 
-let two_char_ops = [ "=="; "!="; "<="; ">="; "&&"; "||"; "<<"; ">>" ]
+(* The operator spelled by [c1] then [c2], or "" when they spell none. *)
+let two_char_op c1 c2 =
+  match (c1, c2) with
+  | '=', '=' -> "=="
+  | '!', '=' -> "!="
+  | '<', '=' -> "<="
+  | '>', '=' -> ">="
+  | '&', '&' -> "&&"
+  | '|', '|' -> "||"
+  | '<', '<' -> "<<"
+  | '>', '>' -> ">>"
+  | _ -> ""
+
+(* The one-character punctuation token [c], or "" when [c] is none. *)
+let one_char_punct = function
+  | '+' -> "+"
+  | '-' -> "-"
+  | '*' -> "*"
+  | '/' -> "/"
+  | '%' -> "%"
+  | '&' -> "&"
+  | '|' -> "|"
+  | '^' -> "^"
+  | '<' -> "<"
+  | '>' -> ">"
+  | '=' -> "="
+  | '!' -> "!"
+  | '(' -> "("
+  | ')' -> ")"
+  | '{' -> "{"
+  | '}' -> "}"
+  | '[' -> "["
+  | ']' -> "]"
+  | ';' -> ";"
+  | ',' -> ","
+  | ':' -> ":"
+  | _ -> ""
 
 let scan lx =
   skip_ws lx;
@@ -68,25 +108,23 @@ let scan lx =
         lx.pos <- lx.pos + 1
       done;
       let s = String.sub lx.src start (lx.pos - start) in
-      lx.tok <- (if List.mem s keywords then KW s else IDENT s)
+      lx.tok <- (if Hashtbl.mem keywords s then KW s else IDENT s)
     end
     else begin
       let two =
-        if lx.pos + 1 < String.length lx.src then
-          String.sub lx.src lx.pos 2
+        if lx.pos + 1 < String.length lx.src then two_char_op c lx.src.[lx.pos + 1]
         else ""
       in
-      if List.mem two two_char_ops then begin
+      if two <> "" then begin
         lx.pos <- lx.pos + 2;
         lx.tok <- PUNCT two
       end
       else
-        match c with
-        | '+' | '-' | '*' | '/' | '%' | '&' | '|' | '^' | '<' | '>' | '='
-        | '!' | '(' | ')' | '{' | '}' | '[' | ']' | ';' | ',' | ':' ->
+        match one_char_punct c with
+        | "" -> raise (Lex_error (Printf.sprintf "unexpected character %C" c, lx.line))
+        | p ->
             lx.pos <- lx.pos + 1;
-            lx.tok <- PUNCT (String.make 1 c)
-        | _ -> raise (Lex_error (Printf.sprintf "unexpected character %C" c, lx.line))
+            lx.tok <- PUNCT p
     end
 
 let create ~file src =

@@ -118,7 +118,7 @@ let decode_stream data ~base ~size =
        insns := (!pos, sz, i) :: !insns;
        pos := !pos + sz
      done
-   with Codec.Decode_error _ | Invalid_argument _ -> ());
+   with Codec.Decode_error _ -> ());
   Array.of_list (List.rev !insns)
 
 let fingerprint_fn ~data ~base ~size ~name ~resolve : func =

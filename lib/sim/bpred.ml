@@ -38,7 +38,8 @@ let cond_branch p pc taken =
   let idx = (pc lxor p.ghist) land p.gshare_mask in
   let ctr = p.gshare.(idx) in
   let predicted = ctr >= 2 in
-  p.gshare.(idx) <- (if taken then min 3 (ctr + 1) else max 0 (ctr - 1));
+  p.gshare.(idx) <-
+    (if taken then if ctr < 3 then ctr + 1 else 3 else if ctr > 0 then ctr - 1 else 0);
   p.ghist <- ((p.ghist lsl 1) lor (if taken then 1 else 0)) land p.gshare_mask;
   let mispred = predicted <> taken in
   if mispred then p.cond_misses <- p.cond_misses + 1;

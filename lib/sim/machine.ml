@@ -141,40 +141,71 @@ type outcome = {
 
 (* ---- executable image ---- *)
 
-type seg = { seg_base : int; seg_limit : int; insns : Insn.t array; isizes : int array }
+(* A text segment.  Instruction boundaries come from one linear sweep
+   at load that steps one byte past anything undecodable (padding);
+   each instruction is decoded the first time it executes.  [code] holds
+   the instructions in address order, [undecoded] until then.  [index]
+   has a little-endian int32 per byte offset (pointer-free, so the GC
+   never scans it): -1 where no instruction starts, else
+   [(k lsl 4) lor size] for the instruction [code.(k)] of [size] bytes
+   starting there (sizes are at most 15). *)
+type seg = {
+  seg_base : int;
+  seg_limit : int;
+  data : Bytes.t; (* the section's bytes *)
+  code : Insn.t array;
+  index : Bytes.t;
+}
 
 type fninfo = {
   fi_addr : int;
   fi_size : int;
-  fi_name : string;
   fi_fde : Types.fde option;
   fi_lsda : Types.lsda option;
 }
 
 type image = {
-  segs : seg list;
+  segs : seg array;
   funcs : fninfo array; (* sorted by address *)
   entry : int;
   mem : Memory.t;
 }
 
+(* Never decoded from any bytes: marks a [code] slot not yet decoded. *)
+let undecoded = Insn.Nop 0
+
 let predecode (sec : Types.section) =
   let n = sec.sec_size in
-  let insns = Array.make n Insn.Halt in
-  let isizes = Array.make n 0 in
+  if n >= 1 lsl 27 then raise (Sim_error ("text section too large: " ^ sec.sec_name));
+  let index = Bytes.make (4 * n) '\xff' in
+  let count = ref 0 in
   let pos = ref 0 in
   while !pos < n do
-    match Codec.decode sec.sec_data !pos with
-    | i, sz ->
-        insns.(!pos) <- i;
-        isizes.(!pos) <- sz;
+    match Codec.length sec.sec_data !pos with
+    | sz ->
+        Bytes.set_int32_le index (4 * !pos) (Int32.of_int ((!count lsl 4) lor sz));
+        incr count;
         pos := !pos + sz
-    | exception Codec.Decode_error _ ->
-        (* tolerate padding bytes that are not valid instructions *)
-        isizes.(!pos) <- 0;
-        incr pos
+    | exception Codec.Decode_error _ -> incr pos
   done;
-  { seg_base = sec.sec_addr; seg_limit = sec.sec_addr + n; insns; isizes }
+  {
+    seg_base = sec.sec_addr;
+    seg_limit = sec.sec_addr + n;
+    data = sec.sec_data;
+    code = Array.make !count undecoded;
+    index;
+  }
+
+(* Decode [code.(k)], which starts at byte [off] of [s], on its first
+   execution. *)
+let decode_slot s k off =
+  let i, _ = Codec.decode s.data off in
+  s.code.(k) <- i;
+  i
+
+(* Stands in for the current segment before the first fetch. *)
+let no_seg =
+  { seg_base = 0; seg_limit = 0; data = Bytes.empty; code = [||]; index = Bytes.empty }
 
 let load (exe : Objfile.t) : image =
   if exe.kind <> Objfile.Executable then raise (Sim_error "not an executable");
@@ -183,7 +214,7 @@ let load (exe : Objfile.t) : image =
   List.iter
     (fun (s : Types.section) ->
       (match s.sec_kind with
-      | Types.Bss -> () (* zero-initialised by sparse memory *)
+      | Types.Bss -> () (* zero-initialised by lazily allocated pages *)
       | _ -> Memory.load_bytes mem s.sec_addr s.sec_data);
       if s.sec_kind = Types.Text then segs := predecode s :: !segs)
     exe.sections;
@@ -197,14 +228,24 @@ let load (exe : Objfile.t) : image =
            {
              fi_addr = s.sym_value;
              fi_size = s.sym_size;
-             fi_name = s.sym_name;
              fi_fde = Hashtbl.find_opt fdes s.sym_name;
              fi_lsda = Hashtbl.find_opt lsdas s.sym_name;
            })
     |> Array.of_list
   in
   Array.sort (fun a b -> compare a.fi_addr b.fi_addr) funcs;
-  { segs = List.rev !segs; funcs; entry = exe.entry; mem }
+  { segs = Array.of_list (List.rev !segs); funcs; entry = exe.entry; mem }
+
+(* The first segment holding [addr]. *)
+let seg_at (img : image) addr =
+  let rec find i =
+    if i >= Array.length img.segs then
+      raise (Sim_error (Printf.sprintf "jump outside text: %#x" addr))
+    else
+      let s = img.segs.(i) in
+      if addr >= s.seg_base && addr < s.seg_limit then s else find (i + 1)
+  in
+  find 0
 
 let function_at (img : image) addr =
   let lo = ref 0 and hi = ref (Array.length img.funcs - 1) in
@@ -316,50 +357,33 @@ let run ?(config = default_config) ?(sampling : sample_cfg option)
     v
   in
 
-  (* front-end charge when the fetch line changes *)
-  let fetch addr =
+  (* front-end charge when the fetch line changes; the main loop calls
+     this only when [addr]'s line is not [!cur_line] *)
+  let fetch_line addr =
     let line = addr lsr 6 in
-    if line <> !cur_line then begin
-      cur_line := line;
-      c.l1i_accesses <- c.l1i_accesses + 1;
-      (match heat with
-      | Some h ->
-          let key = line lsl 6 in
-          Hashtbl.replace h key (1 + try Hashtbl.find h key with Not_found -> 0)
-      | None -> ());
-      if not (Cache.access itlb addr) then begin
-        c.itlb_misses <- c.itlb_misses + 1;
-        c.qcycles <- c.qcycles + config.q_tlb_miss
-      end;
-      if not (Cache.access l1i addr) then begin
-        c.l1i_misses <- c.l1i_misses + 1;
-        c.qcycles <- c.qcycles + config.q_l1_miss;
-        if not (Cache.access l2 addr) then begin
-          c.l2_misses <- c.l2_misses + 1;
-          c.qcycles <- c.qcycles + config.q_l2_miss;
-          if not (Cache.access llc addr) then begin
-            c.llc_misses <- c.llc_misses + 1;
-            c.qcycles <- c.qcycles + config.q_llc_miss
-          end
+    cur_line := line;
+    c.l1i_accesses <- c.l1i_accesses + 1;
+    (match heat with
+    | Some h ->
+        let key = line lsl 6 in
+        Hashtbl.replace h key (1 + try Hashtbl.find h key with Not_found -> 0)
+    | None -> ());
+    if not (Cache.access itlb addr) then begin
+      c.itlb_misses <- c.itlb_misses + 1;
+      c.qcycles <- c.qcycles + config.q_tlb_miss
+    end;
+    if not (Cache.access l1i addr) then begin
+      c.l1i_misses <- c.l1i_misses + 1;
+      c.qcycles <- c.qcycles + config.q_l1_miss;
+      if not (Cache.access l2 addr) then begin
+        c.l2_misses <- c.l2_misses + 1;
+        c.qcycles <- c.qcycles + config.q_l2_miss;
+        if not (Cache.access llc addr) then begin
+          c.llc_misses <- c.llc_misses + 1;
+          c.qcycles <- c.qcycles + config.q_llc_miss
         end
       end
     end
-  in
-
-  let decode_at addr =
-    let rec find = function
-      | [] -> raise (Sim_error (Printf.sprintf "jump outside text: %#x" addr))
-      | (s : seg) :: rest ->
-          if addr >= s.seg_base && addr < s.seg_limit then begin
-            let off = addr - s.seg_base in
-            let sz = s.isizes.(off) in
-            if sz = 0 then
-              raise (Sim_error (Printf.sprintf "misaligned execution at %#x" addr));
-            (s.insns.(off), sz)
-          end
-          else find rest
-    in
-    find img.segs
   in
 
   (* taken control transfer bookkeeping *)
@@ -380,10 +404,9 @@ let run ?(config = default_config) ?(sampling : sample_cfg option)
   in
   let rec unwind at_ip =
     match function_at img at_ip with
-    | None -> (if Sys.getenv_opt "BOLT_UNWIND_DEBUG" <> None then Printf.eprintf "unwind: no func at %#x\n%!" at_ip); None
+    | None -> None
     | Some fi -> (
         let off = at_ip - fi.fi_addr in
-        (if Sys.getenv_opt "BOLT_UNWIND_DEBUG" <> None then Printf.eprintf "unwind: %s off=%d sp=%#x fp=%#x\n%!" fi.fi_name off regs.(15) regs.(14));
         let pad =
           match fi.fi_lsda with
           | None -> None
@@ -484,12 +507,26 @@ let run ?(config = default_config) ?(sampling : sample_cfg option)
   in
 
   (* ---- main loop ---- *)
+  let seg = ref no_seg in
   while !running do
     if c.instructions > fuel then raise (Sim_error "out of fuel");
     let pc = !ip in
-    fetch pc;
-    let insn, sz = decode_at pc in
-    let next = pc + sz in
+    if pc lsr 6 <> !cur_line then fetch_line pc;
+    let s = !seg in
+    let s =
+      if pc >= s.seg_base && pc < s.seg_limit then s
+      else begin
+        let s = seg_at img pc in
+        seg := s;
+        s
+      end
+    in
+    let off = pc - s.seg_base in
+    let e = Int32.to_int (Bytes.get_int32_le s.index (4 * off)) in
+    if e < 0 then raise (Sim_error (Printf.sprintf "misaligned execution at %#x" pc));
+    let insn = Array.unsafe_get s.code (e lsr 4) in
+    let insn = if insn != undecoded then insn else decode_slot s (e lsr 4) off in
+    let next = pc + (e land 15) in
     c.instructions <- c.instructions + 1;
     c.qcycles <- c.qcycles + config.q_base;
     ip := next;

@@ -90,6 +90,81 @@ let decode_error () =
   | _ -> Alcotest.fail "expected Decode_error"
   | exception Codec.Decode_error 0 -> ()
 
+(* setcc's condition nibble names one of the six conditions; 6..15 is a
+   malformed encoding, not a bad argument. *)
+let decode_setcc_cond () =
+  for n = 0 to 15 do
+    let b = Bytes.of_string (Printf.sprintf "\x57%c" (Char.chr ((n lsl 4) lor 3))) in
+    match Codec.decode b 0 with
+    | Insn.Setcc (c, r), 2 when n <= 5 ->
+        Alcotest.(check int) "cond" n (Cond.to_int c);
+        Alcotest.(check int) "reg" 3 (Reg.to_int r)
+    | _ -> Alcotest.failf "nibble %d: unexpected decode" n
+    | exception Codec.Decode_error 0 when n > 5 -> ()
+    | exception Codec.Decode_error _ -> Alcotest.failf "nibble %d: Decode_error" n
+  done
+
+(* Positions outside the buffer are a decode error, not an index error. *)
+let decode_out_of_range () =
+  let b = Codec.encode Insn.Halt in
+  List.iter
+    (fun pos ->
+      match Codec.decode b pos with
+      | _ -> Alcotest.failf "pos %d decoded" pos
+      | exception Codec.Decode_error p -> Alcotest.(check int) "position" pos p)
+    [ -1; 1; 2 ]
+
+(* Every instruction cut off by the end of the buffer (the nop filler and
+   repz's second byte included), at any start position, raises
+   [Decode_error] at that position. *)
+let decode_truncated =
+  QCheck.Test.make ~name:"a truncated encoding raises Decode_error" ~count:2000
+    (QCheck.pair arb_insn (QCheck.make QCheck.Gen.(pair (int_range 0 3) (int_range 1 14))))
+    (fun (i, (lead, cut)) ->
+      let e = Codec.encode i in
+      let keep = Bytes.length e - 1 - (cut mod Bytes.length e) in
+      QCheck.assume (keep >= 0);
+      let b = Bytes.cat (Bytes.make lead '\x02') (Bytes.sub e 0 keep) in
+      match Codec.decode b lead with
+      | _ -> false
+      | exception Codec.Decode_error p -> p = lead)
+
+(* Decoding arbitrary bytes either fails with [Decode_error] or yields an
+   instruction lying inside the buffer. *)
+let decode_total =
+  QCheck.Test.make ~name:"decode of random bytes is total" ~count:5000
+    (QCheck.make
+       QCheck.Gen.(pair (string_size ~gen:char (int_range 0 12)) (int_range (-2) 13)))
+    (fun (s, pos) ->
+      let b = Bytes.of_string s in
+      match Codec.decode b pos with
+      | i, n -> pos >= 0 && n = Insn.size i && pos + n <= Bytes.length b
+      | exception Codec.Decode_error p -> p = pos)
+
+(* [length] is the size of what [decode] builds, and fails exactly where
+   decode does. *)
+let length_matches_decode =
+  QCheck.Test.make ~name:"Codec.length == size of Codec.decode" ~count:5000
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (oneof
+              [
+                string_size ~gen:char (int_range 0 12);
+                map (fun i -> Bytes.to_string (Codec.encode i)) insn_gen;
+              ])
+           (int_range (-1) 11)))
+    (fun (s, pos) ->
+      let b = Bytes.of_string s in
+      let pos = if s = "" then pos else pos mod (String.length s + 1) in
+      let dec =
+        match Codec.decode b pos with
+        | i, n -> if n = Insn.size i then Ok n else Error (-1)
+        | exception Codec.Decode_error p -> Error p
+      in
+      let len = match Codec.length b pos with n -> Ok n | exception Codec.Decode_error p -> Error p in
+      dec = len)
+
 let cond_invert_involutive =
   QCheck.Test.make ~name:"cond invert is involutive" ~count:100
     (QCheck.make cond_gen) (fun c -> Cond.invert (Cond.invert c) = c)
@@ -113,6 +188,11 @@ let suite =
     Alcotest.test_case "rel8-overflow" `Quick rel8_overflow;
     Alcotest.test_case "unresolved-sym" `Quick unresolved_sym;
     Alcotest.test_case "decode-error" `Quick decode_error;
+    Alcotest.test_case "decode-setcc-cond" `Quick decode_setcc_cond;
+    Alcotest.test_case "decode-out-of-range" `Quick decode_out_of_range;
+    QCheck_alcotest.to_alcotest decode_truncated;
+    QCheck_alcotest.to_alcotest decode_total;
+    QCheck_alcotest.to_alcotest length_matches_decode;
     QCheck_alcotest.to_alcotest roundtrip;
     QCheck_alcotest.to_alcotest sizes_match_encoding;
     QCheck_alcotest.to_alcotest cond_invert_involutive;

@@ -33,6 +33,116 @@ let test_lexer_error () =
   | () -> Alcotest.fail "expected Lex_error"
   | exception Lexer.Lex_error _ -> ()
 
+let show_token = function
+  | Lexer.INT n -> "INT " ^ string_of_int n
+  | Lexer.IDENT s -> "IDENT " ^ s
+  | Lexer.KW s -> "KW " ^ s
+  | Lexer.PUNCT s -> "PUNCT " ^ s
+  | Lexer.EOF -> "EOF"
+
+(* The tokens of [src] up to EOF, ending with the lexer's error if it
+   stops at one ("failure" for an integer literal out of range). *)
+let lex src =
+  let acc = ref [] in
+  (try
+     let lx = Lexer.create ~file:"t" src in
+     while Lexer.token lx <> Lexer.EOF do
+       acc := show_token (Lexer.token lx) :: !acc;
+       Lexer.advance lx
+     done
+   with
+  | Lexer.Lex_error (m, l) -> acc := Printf.sprintf "error %d: %s" l m :: !acc
+  | Failure _ -> acc := "failure" :: !acc);
+  List.rev !acc
+
+let check_lex src expected = Alcotest.(check (list string)) src expected (lex src)
+
+let test_lexer_two_char_ops () =
+  List.iter
+    (fun op ->
+      check_lex ("a" ^ op ^ "b") [ "IDENT a"; "PUNCT " ^ op; "IDENT b" ];
+      check_lex (op ^ " 1") [ "PUNCT " ^ op; "INT 1" ])
+    [ "=="; "!="; "<="; ">="; "&&"; "||"; "<<"; ">>" ];
+  (* the longest operator wins, one pair at a time *)
+  check_lex "x>>=y" [ "IDENT x"; "PUNCT >>"; "PUNCT ="; "IDENT y" ];
+  check_lex "a<<<b" [ "IDENT a"; "PUNCT <<"; "PUNCT <"; "IDENT b" ]
+
+let test_lexer_equals () =
+  check_lex "a = = b" [ "IDENT a"; "PUNCT ="; "PUNCT ="; "IDENT b" ];
+  check_lex "a==b" [ "IDENT a"; "PUNCT =="; "IDENT b" ];
+  check_lex "a===b" [ "IDENT a"; "PUNCT =="; "PUNCT ="; "IDENT b" ];
+  check_lex "a=" [ "IDENT a"; "PUNCT =" ];
+  check_lex "!" [ "PUNCT !" ]
+
+let test_lexer_keyword_prefixes () =
+  check_lex "in inline int inx i inlines"
+    [ "KW in"; "KW inline"; "IDENT int"; "IDENT inx"; "IDENT i"; "IDENT inlines" ];
+  check_lex "fn fnx var_ if2 else" [ "KW fn"; "IDENT fnx"; "IDENT var_"; "IDENT if2"; "KW else" ]
+
+let test_lexer_ident_at_eof () =
+  check_lex "foo" [ "IDENT foo" ];
+  check_lex "x+y" [ "IDENT x"; "PUNCT +"; "IDENT y" ];
+  check_lex "return" [ "KW return" ];
+  check_lex "a // trailing comment" [ "IDENT a" ];
+  check_lex "12" [ "INT 12" ]
+
+(* The lexer before the keyword table and the two-character match:
+   [List.mem] over the keyword and operator lists on [String.sub]s. *)
+let reference_lex src =
+  let keywords =
+    [
+      "fn"; "var"; "if"; "else"; "while"; "switch"; "case"; "default"; "return"; "extern";
+      "global"; "array"; "const"; "out"; "in"; "throw"; "try"; "catch"; "break";
+      "continue"; "inline";
+    ]
+  in
+  let ops = [ "=="; "!="; "<="; ">="; "&&"; "||"; "<<"; ">>" ] in
+  let n = String.length src in
+  let is_digit c = c >= '0' && c <= '9' in
+  let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' in
+  let rec go pos line acc =
+    if pos >= n then List.rev acc
+    else
+      match src.[pos] with
+      | ' ' | '\t' | '\r' -> go (pos + 1) line acc
+      | '\n' -> go (pos + 1) (line + 1) acc
+      | '/' when pos + 1 < n && src.[pos + 1] = '/' ->
+          let e = try String.index_from src pos '\n' with Not_found -> n in
+          go e line acc
+      | c when is_digit c ->
+          let e = ref pos in
+          while !e < n && is_digit src.[!e] do incr e done;
+          (match int_of_string_opt (String.sub src pos (!e - pos)) with
+          | Some v -> go !e line (("INT " ^ string_of_int v) :: acc)
+          | None -> List.rev ("failure" :: acc))
+      | c when is_alpha c ->
+          let e = ref pos in
+          while !e < n && (is_alpha src.[!e] || is_digit src.[!e]) do incr e done;
+          let s = String.sub src pos (!e - pos) in
+          go !e line ((if List.mem s keywords then "KW " ^ s else "IDENT " ^ s) :: acc)
+      | c ->
+          let two = if pos + 1 < n then String.sub src pos 2 else "" in
+          if List.mem two ops then go (pos + 2) line (("PUNCT " ^ two) :: acc)
+          else if String.contains "+-*/%&|^<>=!(){}[];,:" c then
+            go (pos + 1) line (("PUNCT " ^ String.make 1 c) :: acc)
+          else List.rev (Printf.sprintf "error %d: unexpected character %C" line c :: acc)
+  in
+  go 0 1 []
+
+let lexer_reference_prop =
+  let piece =
+    QCheck.Gen.oneofl
+      [
+        "in"; "inline"; "int"; "fn"; "x"; "_a1"; "42"; "0"; " "; "\n"; "// c\n"; "="; "=="; "!";
+        "<"; ">"; "&"; "|"; "+"; "-"; "*"; "/"; "%"; "^"; "("; ")"; "{"; "}"; "["; "]"; ";"; ",";
+        ":"; "@"; "return"; "while";
+      ]
+  in
+  QCheck.Test.make ~name:"lexer tokens == List.mem reference" ~count:1000
+    (QCheck.make ~print:(fun s -> s)
+       QCheck.Gen.(map (String.concat "") (list_size (int_range 0 30) piece)))
+    (fun src -> lex src = reference_lex src)
+
 let test_parser_precedence () =
   let m = parse "fn main() { out 1 + 2 * 3 == 7 && 1 < 2; }" in
   match m.Ast.m_decls with
@@ -185,6 +295,11 @@ let suite =
   [
     Alcotest.test_case "lexer-tokens" `Quick test_lexer_tokens;
     Alcotest.test_case "lexer-error" `Quick test_lexer_error;
+    Alcotest.test_case "lexer-two-char-ops" `Quick test_lexer_two_char_ops;
+    Alcotest.test_case "lexer-equals" `Quick test_lexer_equals;
+    Alcotest.test_case "lexer-keyword-prefixes" `Quick test_lexer_keyword_prefixes;
+    Alcotest.test_case "lexer-ident-at-eof" `Quick test_lexer_ident_at_eof;
+    QCheck_alcotest.to_alcotest lexer_reference_prop;
     Alcotest.test_case "parser-precedence" `Quick test_parser_precedence;
     Alcotest.test_case "parser-error-line" `Quick test_parser_error_position;
     Alcotest.test_case "sema-errors" `Quick test_sema_errors;
